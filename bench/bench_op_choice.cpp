@@ -4,9 +4,9 @@
 // operands' activity multisets are equal, O(n1+n2) otherwise. Series:
 //   * NoDedup            — disjoint operands, linear merge
 //   * DedupNaive         — Algorithm 1's pairwise scan (the quadratic bound)
-//   * DedupHashed        — the optimized hash-set dedup, O((n1+n2)·k)
+//   * DedupMerge         — the optimized sorted set-union dedup, O((n1+n2)·k)
 // swept over n and over incident size k (the min(k1,k2) factor).
-// Expected shape: naive grows ~n²; hashed and no-dedup stay ~linear; cost
+// Expected shape: naive grows ~n²; merge and no-dedup stay ~linear; cost
 // grows with k on the dedup series.
 
 #include <benchmark/benchmark.h>
@@ -54,7 +54,7 @@ void BM_ChoiceDedupNaive(benchmark::State& state) {
   }
 }
 
-void BM_ChoiceDedupHashed(benchmark::State& state) {
+void BM_ChoiceDedupMerge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   const auto [a, b] = overlapping_lists(n, k);
@@ -74,6 +74,6 @@ void dedup_args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_ChoiceNoDedup)->Apply(wflog::bench::lemma1_args);
 BENCHMARK(BM_ChoiceDedupNaive)->Apply(dedup_args);
-BENCHMARK(BM_ChoiceDedupHashed)->Apply(dedup_args);
+BENCHMARK(BM_ChoiceDedupMerge)->Apply(dedup_args);
 
 }  // namespace

@@ -36,7 +36,7 @@ namespace {
 Value group_value(const LogIndex& index, Wid wid, const GroupKey& key,
                   Symbol activity_sym, Symbol attr_sym) {
   if (activity_sym == kNoSymbol || attr_sym == kNoSymbol) return Value{};
-  const std::vector<IsLsn>& occ = index.occurrences(wid, activity_sym);
+  const std::span<const IsLsn> occ = index.occurrences(wid, activity_sym);
   if (occ.empty()) return Value{};
   const LogRecord* l = index.find(wid, occ.front());
   if (l == nullptr) return Value{};

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -53,6 +54,13 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
           : nullptr;
 
   const BatchPlan plan(patterns);
+  // Each query's tree bound to the log once, shared by every worker.
+  std::vector<std::optional<EvalPlan>> eval_plans(num_queries);
+  for (std::size_t q = 0; q < num_queries; ++q) {
+    if (patterns[q] != nullptr) {
+      eval_plans[q].emplace(*patterns[q], index.log(), &plan.slots());
+    }
+  }
 
   // per_wid[i][q] = incidents of query q in instance wids[i]. Workers
   // write disjoint i's, so no synchronization is needed beyond the join.
@@ -81,8 +89,8 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
         continue;
       }
       try {
-        lists[q] = ev.evaluate_instance(*patterns[q], wids[i], memo,
-                                        nullptr, options.guard);
+        lists[q] = ev.evaluate_instance(*eval_plans[q], i, memo, nullptr,
+                                        options.guard);
       } catch (const std::exception& e) {
         if (!failed[q].exchange(true, std::memory_order_relaxed)) {
           const std::lock_guard<std::mutex> lock(errors_mu);

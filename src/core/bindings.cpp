@@ -6,7 +6,7 @@
 namespace wflog {
 namespace {
 
-using Positions = std::vector<IsLsn>;  // sorted, distinct
+using Positions = std::span<const IsLsn>;  // sorted, distinct
 
 /// Called each time a complete assignment for the current subtree is in
 /// `current`; returns true to STOP the whole exploration.
@@ -15,7 +15,7 @@ using Continuation = std::function<bool()>;
 /// Backtracking exact-cover exploration. Invokes `cont` once per way to
 /// match `p` against exactly `positions`, with the named atoms' bindings
 /// appended to `current` for the duration of the call.
-bool explore(const Pattern& p, const Positions& positions, Wid wid,
+bool explore(const Pattern& p, Positions positions, Wid wid,
              const LogIndex& index, BindingMap& current,
              const Continuation& cont) {
   if (p.is_atom()) {
@@ -56,12 +56,8 @@ bool explore(const Pattern& p, const Positions& positions, Wid wid,
           continue;
         }
         if (cons && positions[split - 1] + 1 != positions[split]) continue;
-        const Positions left(positions.begin(),
-                             positions.begin() +
-                                 static_cast<std::ptrdiff_t>(split));
-        const Positions right(positions.begin() +
-                                  static_cast<std::ptrdiff_t>(split),
-                              positions.end());
+        const Positions left = positions.first(split);
+        const Positions right = positions.subspan(split);
         const bool stop = explore(
             *p.left(), left, wid, index, current,
             [&]() {
@@ -88,8 +84,8 @@ bool explore(const Pattern& p, const Positions& positions, Wid wid,
             !sizes_fit(*p.right(), n - left_count)) {
           continue;
         }
-        Positions left;
-        Positions right;
+        std::vector<IsLsn> left;
+        std::vector<IsLsn> right;
         left.reserve(left_count);
         right.reserve(n - left_count);
         for (std::size_t i = 0; i < n; ++i) {

@@ -112,8 +112,8 @@ IsLsn find_violation(const Rule& rule, const LogIndex& index, Wid wid,
   const Log& log = index.log();
   // occurrences() returns the empty list for kNoSymbol (an activity the
   // log never saw), which is exactly the right behaviour for every rule.
-  const std::vector<IsLsn>& a_occ = index.occurrences(wid, a_sym);
-  const std::vector<IsLsn>& b_occ = index.occurrences(wid, b_sym);
+  const std::span<const IsLsn> a_occ = index.occurrences(wid, a_sym);
+  const std::span<const IsLsn> b_occ = index.occurrences(wid, b_sym);
   const std::size_t len = index.instance_length(wid);
   *skipped = false;
 

@@ -104,21 +104,48 @@ class SubpatternMemo {
     for (auto& e : entries_) e.reset();
   }
 
-  std::uint32_t slot_of(const Pattern& p) const {
-    const auto it = slots_->find(&p);
-    return it == slots_->end() ? kNoSlot : it->second;
-  }
+  /// The node-to-slot map EvalPlans resolve their memo slots against.
+  const SlotMap& slots() const noexcept { return *slots_; }
+
   const IncidentList* lookup(std::uint32_t slot) const {
     const auto& e = entries_[slot];
     return e.has_value() ? &*e : nullptr;
   }
-  void store(std::uint32_t slot, IncidentList list) {
-    entries_[slot] = std::move(list);
+  /// Stores a node's list; the returned reference stays valid until
+  /// reset(), so evaluation borrows memoized lists instead of copying.
+  const IncidentList& store(std::uint32_t slot, IncidentList list) {
+    return entries_[slot].emplace(std::move(list));
   }
 
  private:
   const SlotMap* slots_;
   std::vector<std::optional<IncidentList>> entries_;
+};
+
+/// A pattern tree bound to one log for evaluation: the tree flattened in
+/// pre-order, every atom's activity symbol and every ⊗ node's dedup
+/// decision resolved once (not once per instance), and, when built against
+/// a SlotMap, every node's memo slot too. Immutable, so one plan serves
+/// every instance and every worker. The pattern must outlive the plan.
+class EvalPlan {
+ public:
+  /// `slots`, when given, must be the SlotMap of the memo the plan will
+  /// be evaluated with (null = no node is memoized).
+  EvalPlan(const Pattern& root, const Log& log,
+           const SlotMap* slots = nullptr);
+
+ private:
+  friend class Evaluator;
+  struct Node {
+    const Pattern* pattern;
+    Symbol symbol;        // atoms: the activity (kNoSymbol if absent)
+    std::uint32_t slot;   // memo slot, or SubpatternMemo::kNoSlot
+    std::uint32_t right;  // operators: right child (left child is next)
+    bool choice_dedup;    // ⊗: needs_choice_dedup of the operands
+  };
+  std::uint32_t add(const Pattern& p, const Log& log, const SlotMap* slots);
+
+  std::vector<Node> nodes_;  // pre-order; nodes_[0] is the root
 };
 
 /// Per-operator-node profiling hook: assigns every node of ONE pattern
@@ -168,11 +195,21 @@ class Evaluator {
   IncidentSet evaluate(const Pattern& p, const NodeTracer* trace = nullptr,
                        const EvalGuard* guard = nullptr) const;
 
-  /// Incidents of p within one workflow instance. With a memo, every node
-  /// mapped by the memo's SlotMap is answered from / stored into the memo
-  /// — the batch engine's sharing hook. The caller owns the memo's
-  /// lifecycle (reset between instances). The guard works as in
-  /// evaluate(); partial (post-trip) lists are never stored in the memo.
+  /// Incidents of a plan's pattern within the `instance`-th workflow
+  /// instance (position in index().wids()) — the per-instance step every
+  /// evaluation path shares. With a memo, every node the plan maps to a
+  /// slot is answered from / stored into the memo — the batch engine's
+  /// sharing hook; the plan must have been built against the memo's
+  /// slots(). The caller owns the memo's lifecycle (reset between
+  /// instances). The guard works as in evaluate(); partial (post-trip)
+  /// lists are never stored in the memo.
+  IncidentList evaluate_instance(const EvalPlan& plan, std::size_t instance,
+                                 SubpatternMemo* memo = nullptr,
+                                 const NodeTracer* trace = nullptr,
+                                 const EvalGuard* guard = nullptr) const;
+
+  /// Incidents of p within the instance `wid` (empty for unknown wids):
+  /// the one-off form, which builds the plan itself.
   IncidentList evaluate_instance(const Pattern& p, Wid wid,
                                  SubpatternMemo* memo = nullptr,
                                  const NodeTracer* trace = nullptr,
@@ -193,11 +230,27 @@ class Evaluator {
   void reset_counters() const noexcept { counters_ = EvalCounters{}; }
 
  private:
-  IncidentList eval_node(const Pattern& p, Wid wid, SubpatternMemo* memo,
-                         const NodeTracer* trace,
-                         const EvalGuard* guard) const;
-  IncidentList eval_atom(const Pattern& p, Wid wid,
-                         const EvalGuard* guard) const;
+  /// What stays fixed while one instance's tree is evaluated.
+  struct InstanceContext {
+    const EvalPlan& plan;
+    InstanceView instance;
+    Wid wid;
+    SubpatternMemo* memo;
+    const NodeTracer* trace;
+    const EvalGuard* guard;
+  };
+  /// A node's incident list: owned, or borrowed from the memo (valid
+  /// until its next reset()).
+  struct NodeResult {
+    IncidentList owned;
+    const IncidentList* borrowed = nullptr;
+    const IncidentList& list() const { return borrowed ? *borrowed : owned; }
+  };
+
+  IncidentList run_instance(const InstanceContext& ctx) const;
+  NodeResult eval_node(const InstanceContext& ctx, std::uint32_t n) const;
+  IncidentList eval_atom(const InstanceContext& ctx,
+                         const EvalPlan::Node& node) const;
 
   const LogIndex* index_;
   EvalOptions opts_;

@@ -49,13 +49,7 @@ ExplainResult explain(const Pattern& p, const LogIndex& index,
 
   const Evaluator evaluator(index, opts);
   const auto t0 = Clock::now();
-  for (Wid wid : index.wids()) {
-    IncidentList incidents =
-        evaluator.evaluate_instance(p, wid, nullptr, &node_trace);
-    if (!incidents.empty()) {
-      result.incidents.add_group(wid, std::move(incidents));
-    }
-  }
+  result.incidents = evaluator.evaluate(p, &node_trace);
   result.total_us =
       std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
 

@@ -1,16 +1,75 @@
 #include "core/incident.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace wflog {
 
+static_assert(sizeof(Incident) == 32);
+static_assert(Incident::kInlineCapacity * sizeof(IsLsn) >= sizeof(IsLsn*));
+
+namespace {
+
+/// |a ∪ b| for sorted position lists.
+std::size_t union_size(std::span<const IsLsn> a,
+                       std::span<const IsLsn> b) noexcept {
+  std::size_t n = a.size() + b.size();
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      --n;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return n;
+}
+
+}  // namespace
+
+Incident& Incident::operator=(const Incident& other) {
+  Incident copy(other);
+  swap(*this, copy);
+  return *this;
+}
+
+void swap(Incident& a, Incident& b) noexcept {
+  std::swap(a.wid_, b.wid_);
+  std::swap(a.size_, b.size_);
+  std::swap(a.inline_, b.inline_);
+}
+
+IsLsn* Incident::allocate(std::size_t n) {
+  size_ = static_cast<std::uint32_t>(n);
+  if (!spilled()) return inline_;
+  IsLsn* p = new IsLsn[n];
+  std::memcpy(inline_, &p, sizeof p);
+  return p;
+}
+
+void Incident::clone_heap() {
+  const IsLsn* src = heap();
+  IsLsn* p = new IsLsn[size_];
+  std::copy(src, src + size_, p);
+  std::memcpy(inline_, &p, sizeof p);
+}
+
 Incident Incident::merged(const Incident& a, const Incident& b) {
+  const std::span<const IsLsn> pa = a.positions();
+  const std::span<const IsLsn> pb = b.positions();
+  // ⊙ and ≫ only ever merge operands with separated spans: the union is
+  // then the concatenation and needs no counting pass.
+  const bool separated = a.empty() || b.empty() || a.last() < b.first() ||
+                         b.last() < a.first();
   Incident out;
   out.wid_ = a.wid_;
-  out.positions_.reserve(a.positions_.size() + b.positions_.size());
-  std::set_union(a.positions_.begin(), a.positions_.end(),
-                 b.positions_.begin(), b.positions_.end(),
-                 std::back_inserter(out.positions_));
+  IsLsn* dst =
+      out.allocate(separated ? pa.size() + pb.size() : union_size(pa, pb));
+  std::set_union(pa.begin(), pa.end(), pb.begin(), pb.end(), dst);
   return out;
 }
 
@@ -18,11 +77,12 @@ bool Incident::disjoint(const Incident& a, const Incident& b) noexcept {
   // Cheap interval reject first: non-overlapping spans cannot share records.
   if (a.empty() || b.empty()) return true;
   if (a.last() < b.first() || b.last() < a.first()) return true;
-  auto i = a.positions_.begin();
-  auto j = b.positions_.begin();
-  while (i != a.positions_.end() && j != b.positions_.end()) {
-    if (*i == *j) return false;
-    if (*i < *j) {
+  const std::span<const IsLsn> pa = a.positions();
+  const std::span<const IsLsn> pb = b.positions();
+  std::size_t i = 0, j = 0;
+  while (i < pa.size() && j < pb.size()) {
+    if (pa[i] == pb[j]) return false;
+    if (pa[i] < pb[j]) {
       ++i;
     } else {
       ++j;
@@ -33,7 +93,7 @@ bool Incident::disjoint(const Incident& a, const Incident& b) noexcept {
 
 std::size_t Incident::hash() const noexcept {
   std::size_t h = static_cast<std::size_t>(wid_) * 0x9e3779b97f4a7c15ULL;
-  for (IsLsn p : positions_) {
+  for (IsLsn p : positions()) {
     h = h * 0x100000001b3ULL + p;
   }
   return h;
@@ -41,9 +101,10 @@ std::size_t Incident::hash() const noexcept {
 
 std::string Incident::to_string() const {
   std::string out = "{wid=" + std::to_string(wid_) + ":";
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
+  const std::span<const IsLsn> p = positions();
+  for (std::size_t i = 0; i < p.size(); ++i) {
     out += i == 0 ? " " : ", ";
-    out += std::to_string(positions_[i]);
+    out += std::to_string(p[i]);
   }
   out += "}";
   return out;

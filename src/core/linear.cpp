@@ -39,14 +39,14 @@ std::size_t count_linear(const LinearChain& chain, const LogIndex& index,
   // the current atom. Rolling DP over the chain.
   const Symbol first_sym = log.activity_symbol(chain[0].activity);
   if (first_sym == kNoSymbol) return 0;
-  const std::vector<IsLsn>* occ = &index.occurrences(wid, first_sym);
-  std::vector<std::size_t> ways(occ->size(), 1);
+  std::span<const IsLsn> occ = index.occurrences(wid, first_sym);
+  std::vector<std::size_t> ways(occ.size(), 1);
 
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const Symbol sym = log.activity_symbol(chain[i].activity);
     if (sym == kNoSymbol) return 0;
-    const std::vector<IsLsn>& prev_occ = *occ;
-    const std::vector<IsLsn>& cur_occ = index.occurrences(wid, sym);
+    const std::span<const IsLsn> prev_occ = occ;
+    const std::span<const IsLsn> cur_occ = index.occurrences(wid, sym);
     if (cur_occ.empty()) return 0;
     std::vector<std::size_t> cur_ways(cur_occ.size(), 0);
 
@@ -72,7 +72,7 @@ std::size_t count_linear(const LinearChain& chain, const LogIndex& index,
         cur_ways[b] = prefix;
       }
     }
-    occ = &cur_occ;
+    occ = cur_occ;
     ways = std::move(cur_ways);
   }
 
@@ -98,7 +98,7 @@ bool exists_linear(const LinearChain& chain, const LogIndex& index,
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const Symbol sym = log.activity_symbol(chain[i].activity);
     if (sym == kNoSymbol) return false;
-    const std::vector<IsLsn>& occ = index.occurrences(wid, sym);
+    const std::span<const IsLsn> occ = index.occurrences(wid, sym);
     if (i > 0 && chain[i].consecutive) {
       // Exactly prev+1 must be an occurrence. Greediness is still safe:
       // earliest-feasible for the prefix dominates any other choice for

@@ -1,7 +1,7 @@
 #include "core/operators_opt.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
 
 namespace wflog {
 namespace {
@@ -14,12 +14,6 @@ IncidentList::const_iterator lower_bound_first(const IncidentList& list,
       list.begin(), list.end(), bound,
       [](const Incident& o, IsLsn b) { return o.first() < b; });
 }
-
-struct IncidentHash {
-  std::size_t operator()(const Incident& o) const noexcept {
-    return o.hash();
-  }
-};
 
 }  // namespace
 
@@ -64,23 +58,19 @@ IncidentList eval_sequential_opt(const IncidentList& inc1,
 
 IncidentList eval_choice_opt(const IncidentList& inc1,
                              const IncidentList& inc2, bool dedup,
-                             const EvalGuard* guard) {
+                             const EvalGuard* /*guard*/) {
+  // Both inputs are canonical (sorted, duplicate-free), so one linear
+  // merge yields the canonical output. Disjoint by construction: merge.
+  // Otherwise: set union, which keeps one copy of each shared incident.
   IncidentList out;
   out.reserve(inc1.size() + inc2.size());
-  if (!dedup) {
-    // Disjoint by construction: a linear sorted merge suffices.
+  if (dedup) {
+    std::set_union(inc1.begin(), inc1.end(), inc2.begin(), inc2.end(),
+                   std::back_inserter(out));
+  } else {
     std::merge(inc1.begin(), inc1.end(), inc2.begin(), inc2.end(),
                std::back_inserter(out));
-    return out;
   }
-  std::unordered_set<Incident, IncidentHash> seen(inc1.begin(), inc1.end());
-  out.insert(out.end(), inc1.begin(), inc1.end());
-  GuardPoll poll{guard};
-  for (const Incident& o2 : inc2) {
-    if (poll.should_stop()) break;
-    if (!seen.contains(o2)) out.push_back(o2);
-  }
-  canonicalize(out);
   return out;
 }
 

@@ -13,8 +13,8 @@
 //                -> O(n1·log n2 + |output|)
 //   sequential   binary-search inc2 for the suffix with first > last(o1)
 //                -> O(n1·log n2 + |output|)  (output may itself be Θ(n1·n2))
-//   choice       hash-based dedup -> O((n1+n2)·k) expected instead of
-//                O(n1·n2·k)
+//   choice       one sorted merge (set union when deduplicating)
+//                -> O((n1+n2)·k) instead of O(n1·n2·k)
 //   parallel     interval pre-filter: pairs whose spans do not overlap are
 //                disjoint without scanning members; the span test also
 //                subsumes the common sequential-like case
@@ -22,8 +22,9 @@
 // All functions require canonical inputs (sorted by positions, hence by
 // first()) and return canonical outputs.
 
-// As in core/operators.h, every function polls an optional EvalGuard
-// inside its loops and returns a canonical partial list once it trips.
+// As in core/operators.h, every function with a nested loop polls an
+// optional EvalGuard inside it and returns a canonical partial list once
+// it trips; choice is a single linear merge and runs to completion.
 
 #include "core/guard.h"
 #include "core/incident.h"

@@ -56,12 +56,13 @@ IncidentSet evaluate_parallel(const Pattern& p, const LogIndex& index,
       resolve_worker_count(options.threads, wids.size());
 
   std::vector<IncidentList> per_wid(wids.size());
+  const EvalPlan plan(p, index.log());
   parallel_for_instances(
       wids.size(), threads,
-      [&per_wid, &wids, &index, &options, &p](std::size_t i) {
+      [&per_wid, &index, &options, &plan](std::size_t i) {
         // One evaluator per task: counters stay race-free.
         const Evaluator ev(index, options.eval);
-        per_wid[i] = ev.evaluate_instance(p, wids[i]);
+        per_wid[i] = ev.evaluate_instance(plan, i);
       });
 
   IncidentSet result;
@@ -85,14 +86,15 @@ std::size_t count_parallel(const Pattern& p, const LogIndex& index,
                          : std::nullopt;
 
   std::vector<std::size_t> per_wid(wids.size(), 0);
+  const EvalPlan plan(p, index.log());
   parallel_for_instances(
       wids.size(), threads,
-      [&per_wid, &wids, &index, &options, &p, &chain](std::size_t i) {
+      [&per_wid, &wids, &index, &options, &plan, &chain](std::size_t i) {
         if (chain.has_value()) {
           per_wid[i] = count_linear(*chain, index, wids[i]);
         } else {
           const Evaluator ev(index, options.eval);
-          per_wid[i] = ev.evaluate_instance(p, wids[i]).size();
+          per_wid[i] = ev.evaluate_instance(plan, i).size();
         }
       });
 

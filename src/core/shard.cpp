@@ -1,5 +1,6 @@
 #include "core/shard.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -52,10 +53,15 @@ void ShardPool::shutdown() {
 void ShardPool::drain_job(Job& job, std::unique_lock<std::mutex>& lock) {
   while (job.next < job.count) {
     const std::size_t i = job.next++;
-    if (job.next >= job.count && !jobs_.empty() && jobs_.front() == &job) {
-      // Exhausted: stop routing new claimants here. (The job outlives
-      // this — its owner waits for `done` to catch up.)
-      jobs_.pop_front();
+    if (job.next == job.count) {
+      // Exhausted: stop routing new claimants here, wherever the job sits
+      // in the queue — a job left behind would later reach the head with
+      // nothing to claim, and a worker would spin on it holding mu_. (The
+      // job outlives this — its owner waits for `done` to catch up.)
+      if (const auto it = std::find(jobs_.begin(), jobs_.end(), &job);
+          it != jobs_.end()) {
+        jobs_.erase(it);
+      }
     }
     lock.unlock();
     std::exception_ptr error;
@@ -94,14 +100,6 @@ void ShardPool::run(std::size_t count,
   // this IS the serial loop, and with busy workers it guarantees progress.
   drain_job(job, lock);
   job.finished.wait(lock, [&job] { return job.done == job.count; });
-  // Defensive: if the job is somehow still queued (a worker popped jobs
-  // only when claiming the last item), remove it before it dangles.
-  for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-    if (*it == &job) {
-      jobs_.erase(it);
-      break;
-    }
-  }
   if (job.error != nullptr) std::rethrow_exception(job.error);
 }
 
@@ -160,6 +158,7 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
   count_shard_telemetry(plan);
   std::vector<ShardResult> results(plan.num_shards());
   std::vector<EvalCounters> counters(plan.num_shards());
+  const EvalPlan eval_plan(p, index.log());
   scatter(plan, options, [&](std::size_t s) {
     WFLOG_SPAN(span, "shard.task");
     const ShardPlan::Shard& shard = plan.shard(s);
@@ -172,8 +171,8 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
         WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
         break;
       }
-      IncidentList list = ev.evaluate_instance(p, shard.wids[j], nullptr,
-                                               nullptr, options.guard);
+      IncidentList list = ev.evaluate_instance(
+          eval_plan, shard.global[j], nullptr, nullptr, options.guard);
       if (!list.empty()) {
         out.positions.push_back(shard.global[j]);
         out.wids.push_back(shard.wids[j]);
@@ -202,6 +201,7 @@ std::size_t count_sharded(const Pattern& p, const LogIndex& index,
                          ? as_linear_chain(p)
                          : std::nullopt;
   std::vector<std::size_t> per_shard(plan.num_shards(), 0);
+  const EvalPlan eval_plan(p, index.log());
   scatter(plan, options, [&](std::size_t s) {
     WFLOG_SPAN(span, "shard.task");
     const ShardPlan::Shard& shard = plan.shard(s);
@@ -210,8 +210,8 @@ std::size_t count_sharded(const Pattern& p, const LogIndex& index,
       for (const Wid wid : shard.wids) n += count_linear(*chain, index, wid);
     } else {
       const Evaluator ev(index, options.eval);
-      for (const Wid wid : shard.wids) {
-        n += ev.evaluate_instance(p, wid).size();
+      for (const std::size_t i : shard.global) {
+        n += ev.evaluate_instance(eval_plan, i).size();
       }
     }
     per_shard[s] = n;
@@ -234,16 +234,17 @@ bool exists_sharded(const Pattern& p, const LogIndex& index,
                          ? as_linear_chain(p)
                          : std::nullopt;
   std::atomic<bool> found{false};
+  const EvalPlan eval_plan(p, index.log());
   scatter(plan, options, [&](std::size_t s) {
     WFLOG_SPAN(span, "shard.task");
     const ShardPlan::Shard& shard = plan.shard(s);
     const Evaluator ev(index, options.eval);
-    for (const Wid wid : shard.wids) {
+    for (std::size_t j = 0; j < shard.wids.size(); ++j) {
       if (found.load(std::memory_order_relaxed)) break;
       const bool hit =
           chain.has_value()
-              ? exists_linear(*chain, index, wid)
-              : !ev.evaluate_instance(p, wid).empty();
+              ? exists_linear(*chain, index, shard.wids[j])
+              : !ev.evaluate_instance(eval_plan, shard.global[j]).empty();
       if (hit) {
         found.store(true, std::memory_order_relaxed);
         break;

@@ -191,7 +191,8 @@ struct ShardEvalOptions {
 };
 
 /// Scatter/gather inc_L(p): evaluates every shard of `plan` (over the
-/// shared read-only index) and merges. Byte-identical to
+/// shared read-only index) and merges. `plan` must partition index.wids():
+/// shards address instances by their position in that list. Byte-identical to
 /// Evaluator(index, options.eval).evaluate(p) for every shard count.
 IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
                              const ShardPlan& plan,

@@ -76,7 +76,9 @@ class Tracer {
     Span() noexcept = default;
     Span(Span&& other) noexcept { *this = std::move(other); }
     Span& operator=(Span&& other) noexcept;
-    ~Span() { end(); }
+    ~Span() {
+      if (active()) end();
+    }
 
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;

@@ -60,7 +60,7 @@ std::size_t ResultCache::result_bytes(const QueryResult& r) {
   for (const IncidentSet::Group& g : r.incidents.groups()) {
     n += sizeof(IncidentSet::Group);
     for (const Incident& o : g.incidents) {
-      n += sizeof(Incident) + o.positions().size() * sizeof(IsLsn);
+      n += sizeof(Incident) + o.heap_bytes();
     }
   }
   // Pattern trees are retained via parsed/executed; count atoms + interior

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/engine.h"
 #include "server/cache.h"
 #include "server/client.h"
@@ -91,6 +92,35 @@ TEST(ResultCacheTest, InsertLookupAndLruEviction) {
   EXPECT_LE(s.bytes, co.max_bytes);
   EXPECT_EQ(cache.lookup("k1", unlimited), nullptr);
   EXPECT_NE(cache.lookup("k4", unlimited), nullptr);
+}
+
+TEST(ResultCacheTest, InlinePositionsAreCountedOnce) {
+  // Incidents keep up to kInlineCapacity positions inside the object, so
+  // a singleton-heavy result costs sizeof(Incident) per incident — no
+  // phantom per-incident heap block. Only spilled positions add bytes.
+  const std::size_t base = ResultCache::result_bytes(*complete_result());
+  auto singletons = std::make_shared<QueryResult>(*complete_result());
+  IncidentList list;
+  for (IsLsn p = 1; p <= 1000; ++p) list.push_back(Incident::singleton(1, p));
+  singletons->incidents.add_group(1, std::move(list));
+  EXPECT_EQ(ResultCache::result_bytes(*singletons) - base,
+            sizeof(IncidentSet::Group) + 1000 * sizeof(Incident));
+
+  const Incident spilled = testing::inc(2, {1, 2, 3, 4, 5, 6});
+  ASSERT_EQ(spilled.size(), Incident::kInlineCapacity + 1);
+  auto mixed = std::make_shared<QueryResult>(*complete_result());
+  mixed->incidents.add_group(2, {Incident::singleton(2, 9), spilled});
+  EXPECT_EQ(ResultCache::result_bytes(*mixed) - base,
+            sizeof(IncidentSet::Group) + 2 * sizeof(Incident) +
+                spilled.size() * sizeof(IsLsn));
+
+  // The batch memo's cache_bytes counter uses the same accounting.
+  const Log log = testing::make_log("a a a a a a b");
+  const LogIndex index(log);
+  const std::vector<PatternPtr> batch = {parse_pattern("a")};
+  BatchEvalStats stats;
+  evaluate_batch(batch, index, BatchOptions{}, &stats);
+  EXPECT_EQ(stats.counters.cache_bytes, 6 * sizeof(Incident));
 }
 
 TEST(ResultCacheTest, RefusesIncompleteResults) {

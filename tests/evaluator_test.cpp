@@ -14,6 +14,7 @@ using testing::briefs;
 using testing::eval;
 using testing::inc;
 using testing::make_log;
+using testing::to_vector;
 
 // ----- atomic patterns --------------------------------------------------
 
@@ -84,7 +85,7 @@ TEST_F(Figure3Test, Example3UpdateBeforeReimburse) {
   const IncidentList out = run("UpdateRefer -> GetReimburse");
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].wid(), 2u);
-  EXPECT_EQ(out[0].positions(), (std::vector<IsLsn>{5, 9}));
+  EXPECT_EQ(to_vector(out[0].positions()), (std::vector<IsLsn>{5, 9}));
   EXPECT_EQ(log_.record(14).is_lsn, 5u);  // l14 = UpdateRefer
   EXPECT_EQ(log_.record(20).is_lsn, 9u);  // l20 = GetReimburse
 }
@@ -97,7 +98,7 @@ TEST_F(Figure3Test, Example5SeeDoctorThenUpdateThenReimburse) {
   const IncidentList out = run("SeeDoctor -> (UpdateRefer -> GetReimburse)");
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].wid(), 2u);
-  EXPECT_EQ(out[0].positions(), (std::vector<IsLsn>{4, 5, 9}));
+  EXPECT_EQ(to_vector(out[0].positions()), (std::vector<IsLsn>{4, 5, 9}));
 }
 
 TEST_F(Figure3Test, Example5LeftGroupingGivesSameAnswer) {

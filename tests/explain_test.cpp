@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/parser.h"
 #include "test_util.h"
 #include "workflow/clinic.h"
@@ -55,6 +57,64 @@ TEST(ExplainTest, ResultMatchesPlainEvaluation) {
     const PatternPtr p = parse_pattern(q);
     const ExplainResult r = explain(*p, index, model);
     EXPECT_EQ(r.incidents, ev.evaluate(*p)) << q;
+  }
+}
+
+void preorder(const Pattern& p, std::vector<const Pattern*>& out) {
+  out.push_back(&p);
+  if (!p.is_atom()) {
+    preorder(*p.left(), out);
+    preorder(*p.right(), out);
+  }
+}
+
+TEST(ExplainTest, RowsStayExactWhenLeftOperandIsEmpty) {
+  // Instance 2 has no "a", so the left operand of the root is empty there;
+  // plain evaluation skips the right subtree in that instance, explain
+  // must not: every row still counts every instance.
+  const Log log = make_log("a b c ; b c ; a c b");
+  const LogIndex index(log);
+  const CostModel model(index);
+  const PatternPtr p = parse_pattern("a -> (b . c)");
+  const ExplainResult r = explain(*p, index, model);
+  ASSERT_EQ(r.nodes.size(), 5u);
+  EXPECT_EQ(r.nodes[0].actual_incidents, 1u);  // root
+  EXPECT_EQ(r.nodes[1].actual_incidents, 2u);  // a
+  EXPECT_EQ(r.nodes[2].actual_incidents, 2u);  // b . c, instance 2 included
+  EXPECT_EQ(r.nodes[3].actual_incidents, 3u);  // b
+  EXPECT_EQ(r.nodes[4].actual_incidents, 3u);  // c
+
+  // Untraced evaluation really skips: b . c is not evaluated in instance
+  // 2 (5 operator nodes instead of 6), so its incident there is never
+  // built (2 emitted instead of root 1 + b . c 2).
+  const Evaluator plain(index);
+  EXPECT_EQ(plain.evaluate(*p), r.incidents);
+  EXPECT_EQ(plain.counters().operator_nodes_evaluated, 5u);
+  EXPECT_EQ(plain.counters().incidents_emitted, 2u);
+}
+
+TEST(ExplainTest, EveryRowMatchesItsSubtreeEvaluated) {
+  // Left operands empty in many instances: each row's actual_incidents is
+  // the node's full incident count over the log.
+  const Log log = clinic_log(60, 9);
+  const LogIndex index(log);
+  const CostModel model(index);
+  const Evaluator ev(index);
+  const char* queries[] = {
+      "UpdateRefer -> (SeeDoctor . PayTreatment)",
+      "(UpdateRefer . GetReimburse) & (GetRefer -> CheckIn)",
+      "UpdateRefer . (GetReimburse | SeeDoctor)",
+  };
+  for (const char* q : queries) {
+    const PatternPtr p = parse_pattern(q);
+    const ExplainResult r = explain(*p, index, model);
+    std::vector<const Pattern*> nodes;
+    preorder(*p, nodes);
+    ASSERT_EQ(r.nodes.size(), nodes.size()) << q;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(r.nodes[i].actual_incidents, ev.evaluate(*nodes[i]).total())
+          << q << " row " << i;
+    }
   }
 }
 

@@ -160,7 +160,7 @@ TEST(JoinEvalTest, ExistentialOverAssignments) {
   const QueryResult gap2 =
       engine.run("u:a -> v:a where v.out.v = 3 && u.out.v = 1");
   ASSERT_EQ(gap2.total(), 1u);
-  EXPECT_EQ(gap2.incidents.flatten()[0].positions(),
+  EXPECT_EQ(testing::to_vector(gap2.incidents.flatten()[0].positions()),
             (std::vector<IsLsn>{2, 4}));
 }
 

@@ -11,6 +11,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -254,6 +261,121 @@ TEST(ShardPoolTest, ShutdownUnderLoadLosesNoItems) {
     caller.join();
     EXPECT_EQ(ran.load(), 200);
   }
+}
+
+/// Runs `body` on a helper thread and fails the test if it has not finished
+/// within `limit`. A wedged pool cannot be unwound, so the process then
+/// exits with a message instead of hanging the test runner.
+void run_with_watchdog(std::chrono::seconds limit,
+                       const std::function<void()>& body) {
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread runner([&body, &finished] {
+    body();
+    finished.set_value();
+  });
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "FAILED: still running after %llds, the shard pool is "
+                 "wedged\n",
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  runner.join();
+}
+
+/// A one-shot gate: wait() blocks until open().
+class Gate {
+ public:
+  void open() {
+    {
+      const std::lock_guard lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+void wait_until(const std::atomic<int>& counter, int value) {
+  while (counter.load() < value) std::this_thread::yield();
+}
+
+TEST(ShardPoolTest, JobExhaustedBehindAnotherDoesNotWedgeTheWorker) {
+  // Job A (3 items) heads the queue; job B (1 item) queues behind it and
+  // is exhausted by its own caller while A still has an unclaimed item.
+  // When A's last item is claimed, B must not be left at the head with
+  // nothing to claim: a worker would spin on it holding the pool mutex,
+  // so neither caller could ever return.
+  run_with_watchdog(std::chrono::seconds(20), [] {
+    ShardPool pool(1);
+    Gate a_gate, b_gate;
+    std::atomic<int> a_started{0}, b_started{0};
+    std::thread a_caller([&] {
+      pool.run(3, [&](std::size_t) {
+        a_started.fetch_add(1);
+        a_gate.wait();
+      });
+    });
+    wait_until(a_started, 2);  // caller runs A0, the worker A1
+    std::thread b_caller([&] {
+      pool.run(1, [&](std::size_t) {
+        b_started.fetch_add(1);
+        b_gate.wait();
+      });
+    });
+    wait_until(b_started, 1);  // B claimed (exhausted) and still running
+    a_gate.open();
+    a_caller.join();  // A finishes while B is still in flight
+    b_gate.open();
+    b_caller.join();
+    EXPECT_EQ(a_started.load(), 3);
+    EXPECT_EQ(b_started.load(), 1);
+  });
+}
+
+TEST(ShardEngineTest, ConcurrentRunsOnOneShardedEngineComplete) {
+  // The engine-level form: request threads sharing one sharded engine
+  // (wfqd's shape) queue overlapping jobs on its pool.
+  const Log log = workload::clinic(200, 21);
+  const char* queries[] = {
+      "GetRefer -> GetReimburse",
+      "(SeeDoctor . PayTreatment) -> GetReimburse",
+      "UpdateRefer | CheckIn",
+      "!UpdateRefer . GetReimburse",
+  };
+  const QueryEngine serial(log, QueryOptions{});
+  std::vector<std::string> expected;
+  for (const char* q : queries) expected.push_back(serialize(serial.run(q)));
+
+  QueryOptions opts;
+  opts.shards = 4;
+  const QueryEngine engine(log, opts);
+  run_with_watchdog(std::chrono::seconds(60), [&] {
+    std::vector<std::thread> callers;
+    std::atomic<int> mismatches{0};
+    for (int t = 0; t < 4; ++t) {
+      callers.emplace_back([&, t] {
+        for (int i = 0; i < 200; ++i) {
+          const std::size_t q = static_cast<std::size_t>(t + i) % 4;
+          if (serialize(engine.run(queries[q])) != expected[q]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& c : callers) c.join();
+    EXPECT_EQ(mismatches.load(), 0);
+  });
 }
 
 // ----- differential: library level ----------------------------------------

@@ -2,6 +2,7 @@
 
 // Shared helpers for the test suite.
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +68,12 @@ inline std::vector<std::string> briefs(const IncidentList& list) {
   out.reserve(list.size());
   for (const Incident& o : list) out.push_back(brief(o));
   return out;
+}
+
+/// Is-lsns viewed through a span (Incident::positions(),
+/// LogIndex::occurrences()) as a vector, for EXPECT_EQ against a literal.
+inline std::vector<IsLsn> to_vector(std::span<const IsLsn> positions) {
+  return {positions.begin(), positions.end()};
 }
 
 /// Builds an incident from explicit positions (must be sorted ascending).

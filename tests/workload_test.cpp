@@ -7,6 +7,7 @@
 #include "core/engine.h"
 #include "core/monitor.h"
 #include "log/validate.h"
+#include "test_util.h"
 #include "workflow/clinic.h"
 
 namespace wflog {
@@ -34,9 +35,11 @@ TEST(WorkloadTest, ChainStructure) {
   EXPECT_TRUE(well_formed(log));
   const LogIndex index(log);
   for (Wid wid : log.wids()) {
-    EXPECT_EQ(index.occurrences(wid, log.activity_symbol("A0")),
+    EXPECT_EQ(testing::to_vector(
+                  index.occurrences(wid, log.activity_symbol("A0"))),
               (std::vector<IsLsn>{2, 4}));
-    EXPECT_EQ(index.occurrences(wid, log.activity_symbol("A1")),
+    EXPECT_EQ(testing::to_vector(
+                  index.occurrences(wid, log.activity_symbol("A1"))),
               (std::vector<IsLsn>{3, 5}));
   }
 }
