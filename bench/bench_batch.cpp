@@ -105,11 +105,10 @@ void run_sequential(benchmark::State& state, const Log& log,
 }
 
 void run_batch(benchmark::State& state, const Log& log,
-               const std::vector<std::string>& queries, std::size_t threads,
-               bool use_cache) {
+               const std::vector<std::string>& queries, bool use_cache) {
   const QueryEngine engine(log, bench_options());
   for (auto _ : state) {
-    const BatchResult r = engine.run_batch(queries, threads, use_cache);
+    const BatchResult r = engine.run_batch(queries, 1, use_cache);
     benchmark::DoNotOptimize(r);
   }
   report(state, engine, queries, use_cache);
@@ -124,19 +123,13 @@ void BM_ProcurementSequential8(benchmark::State& state) {
 void BM_ProcurementBatch8(benchmark::State& state) {
   run_batch(state,
             procurement_sized(static_cast<std::size_t>(state.range(0))),
-            procurement_queries(), 1, true);
+            procurement_queries(), true);
 }
 
 void BM_ProcurementBatch8NoCache(benchmark::State& state) {
   run_batch(state,
             procurement_sized(static_cast<std::size_t>(state.range(0))),
-            procurement_queries(), 1, false);
-}
-
-void BM_ProcurementBatch8Threads4(benchmark::State& state) {
-  run_batch(state,
-            procurement_sized(static_cast<std::size_t>(state.range(0))),
-            procurement_queries(), 4, true);
+            procurement_queries(), false);
 }
 
 void BM_ClinicSequential6(benchmark::State& state) {
@@ -147,12 +140,12 @@ void BM_ClinicSequential6(benchmark::State& state) {
 
 void BM_ClinicBatch6(benchmark::State& state) {
   run_batch(state, clinic_sized(static_cast<std::size_t>(state.range(0))),
-            clinic_queries(), 1, true);
+            clinic_queries(), true);
 }
 
 void BM_ClinicBatch6NoCache(benchmark::State& state) {
   run_batch(state, clinic_sized(static_cast<std::size_t>(state.range(0))),
-            clinic_queries(), 1, false);
+            clinic_queries(), false);
 }
 
 // E21: wid-sharded scatter/gather (core/shard.h). One heavy run() and the
@@ -207,7 +200,6 @@ void instance_sweep(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_ProcurementSequential8)->Apply(instance_sweep);
 BENCHMARK(BM_ProcurementBatch8)->Apply(instance_sweep);
 BENCHMARK(BM_ProcurementBatch8NoCache)->Apply(instance_sweep);
-BENCHMARK(BM_ProcurementBatch8Threads4)->Apply(instance_sweep);
 BENCHMARK(BM_ClinicSequential6)->Apply(instance_sweep);
 BENCHMARK(BM_ClinicBatch6)->Apply(instance_sweep);
 BENCHMARK(BM_ClinicBatch6NoCache)->Apply(instance_sweep);

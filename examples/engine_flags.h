@@ -16,7 +16,9 @@
 //   --cache-off            disable the result cache entirely
 //   --shards N             wid-shards per evaluation (core/shard.h);
 //                          default 0 = hardware concurrency, 1 = serial.
-//                          Results are byte-identical for every N.
+//                          Results are byte-identical for every N. A
+//                          negative or non-numeric N is a usage error
+//                          (exit 2).
 //
 // strip_engine_flags() pulls these out of argv (position-independent) so
 // each binary's own argument parsing never sees them; TelemetryScope owns
@@ -24,6 +26,7 @@
 // goes out of scope. load_log() is the by-extension reader both binaries
 // share.
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -100,7 +103,16 @@ inline EngineFlags strip_engine_flags(int argc, char** argv,
     } else if (flag == "--cache-off") {
       flags.cache_off = true;
     } else if (flag == "--shards" && i + 1 < argc) {
-      flags.shards = static_cast<std::size_t>(std::atoll(argv[++i]));
+      // Strict: atoll would turn "-1" into SIZE_MAX (a thread per
+      // instance) and "abc" into 0 (hardware concurrency).
+      const std::string_view text = argv[++i];
+      const auto [end, ec] = std::from_chars(
+          text.data(), text.data() + text.size(), flags.shards);
+      if (ec != std::errc{} || end != text.data() + text.size()) {
+        std::cerr << "error: --shards expects a non-negative integer, got '"
+                  << text << "'\n";
+        std::exit(2);
+      }
     } else {
       args.push_back(argv[i]);
     }

@@ -4,9 +4,10 @@
 // Usage:
 //   wfq stats  <log.{csv,jsonl}>
 //   wfq query  <log.{csv,jsonl}> '<pattern>'  [--limit N] [--no-optimize]
-//   wfq batch  <log> <queries.txt> [--threads N] [--no-cache] [--compare]
+//   wfq batch  <log> <queries.txt> [--no-cache] [--compare]
 //              one query per line, '#' comments; evaluates all queries in
-//              one shared pass (core/batch.h)
+//              one shared pass (core/batch.h) scattered over --shards
+//              (a legacy --threads N is accepted and ignored)
 //   wfq exists <log.{csv,jsonl}> '<pattern>'
 //   wfq count  <log.{csv,jsonl}> '<pattern>'
 //   wfq explain <log.{csv,jsonl}> '<pattern>'
@@ -44,6 +45,7 @@
 //   --shards N             evaluate over N wid-disjoint shards on a worker
 //                          pool (core/shard.h); 0 = hardware concurrency
 //                          (default), 1 = serial. Byte-identical results.
+//                          A negative or non-numeric N is a usage error.
 //
 // Pattern syntax: activity names; operators . (consecutive), -> (sequential),
 // | (choice), & (parallel); ! negation; [attr op value] predicates.
@@ -102,8 +104,7 @@ void report_partial(const QueryResult& r) {
       << "usage:\n"
          "  wfq stats  <log.{csv,jsonl}>\n"
          "  wfq query  <log> '<pattern>' [--limit N] [--no-optimize]\n"
-         "  wfq batch  <log> <queries.txt> [--threads N] [--no-cache] "
-         "[--compare]\n"
+         "  wfq batch  <log> <queries.txt> [--no-cache] [--compare]\n"
          "  wfq exists <log> '<pattern>'\n"
          "  wfq count  <log> '<pattern>'\n"
          "  wfq explain <log> '<pattern>'\n"
@@ -199,7 +200,7 @@ int cmd_query(const std::string& path, const std::string& pattern,
 }
 
 int cmd_batch(const std::string& path, const std::string& queries_path,
-              std::size_t threads, bool use_cache, bool compare) {
+              bool use_cache, bool compare) {
   std::ifstream in(queries_path);
   if (!in) throw IoError("cannot open '" + queries_path + "'");
   std::vector<std::string> texts;
@@ -212,7 +213,8 @@ int cmd_batch(const std::string& path, const std::string& queries_path,
 
   const Log log = load_log(path);
   QueryEngine engine(log, guarded_options());
-  const BatchResult batch = engine.run_batch(texts, threads, use_cache);
+  const BatchResult batch =
+      engine.run_batch(texts, /*threads (ignored)=*/1, use_cache);
 
   // Failure isolation: a malformed query is an error slot, the rest of the
   // batch still ran. Report errors inline, count them for the exit code.
@@ -240,7 +242,7 @@ int cmd_batch(const std::string& path, const std::string& queries_path,
             << batch.cache_misses() << " misses, " << batch.cache_bytes()
             << " bytes retained\n"
             << "eval:  " << batch.eval_us << " us on "
-            << batch.stats.threads_used << " thread(s)\n";
+            << batch.stats.threads_used << " shard(s)\n";
 
   if (compare) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -622,7 +624,6 @@ int dispatch(int argc, char** argv) {
       return cmd_query(argv[2], argv[3], limit, optimize);
     }
     if (cmd == "batch" && argc >= 4) {
-      std::size_t threads = 1;
       bool use_cache = true;
       bool compare = false;
       for (int i = 4; i < argc; ++i) {
@@ -632,12 +633,14 @@ int dispatch(int argc, char** argv) {
         } else if (flag == "--compare") {
           compare = true;
         } else if (flag == "--threads" && i + 1 < argc) {
-          threads = static_cast<std::size_t>(std::atoll(argv[++i]));
+          ++i;
+          std::cerr << "note: --threads is ignored; batch parallelism is "
+                       "--shards\n";
         } else {
           usage();
         }
       }
-      return cmd_batch(argv[2], argv[3], threads, use_cache, compare);
+      return cmd_batch(argv[2], argv[3], use_cache, compare);
     }
     if (cmd == "exists" && argc == 4) return cmd_exists(argv[2], argv[3]);
     if (cmd == "count" && argc == 4) return cmd_count(argv[2], argv[3]);

@@ -3,7 +3,8 @@
 // and serves concurrent queries over it:
 //
 //   POST /query    {"query": "A -> B", "deadline_ms": 100, "limit": 50}
-//   POST /batch    {"queries": ["A -> B", "C . D"], "threads": 4}
+//   POST /batch    {"queries": ["A -> B", "C . D"]}  (scattered over
+//                  --shards; a legacy "threads" field is ignored)
 //   POST /ingest   {"events": [{"op": "begin"}, {"op": "record", ...}]}
 //   GET  /metrics  Prometheus text exposition (+ per-endpoint and
 //                  per-canonical-key latency histograms)
@@ -25,7 +26,8 @@
 //   [--threads N]        worker pool size (default 4)
 //   [--queue N]          pending-connection bound before 503 (default 64)
 //   [--drain-ms N]       shutdown grace period for in-flight requests
-//   [--batch-threads N]  run_batch default when a request names none
+//   [--batch-threads N]  ignored (kept so old scripts still start); /batch
+//                        parallelism is --shards
 //   [--bad-events reject|skip|quarantine]   ingest policy (monitor.h)
 //   [--max-deadline-ms N]    cap on per-request deadlines (binds even
 //                            requests that ask for "unlimited")
@@ -37,10 +39,12 @@
 //                        version; "Cache-Control: no-cache" bypasses per
 //                        request; responses carry "X-Wfq-Cache: hit|miss".
 //   [--shards N]         wid-shards per evaluation (core/shard.h): every
-//                        request's queries scatter over N shard workers
-//                        and gather byte-identical answers. 0 = hardware
-//                        concurrency (default), 1 = serial. Cache keys are
-//                        shard-count-independent.
+//                        request's queries — /batch passes included —
+//                        scatter over N shard workers and gather
+//                        byte-identical answers. 0 = hardware concurrency
+//                        (default), 1 = serial. Cache keys are
+//                        shard-count-independent. A negative or
+//                        non-numeric N is a usage error (exit 2).
 //   [--access-log PATH|-]  structured access log: one JSON line per
 //                        request (id, verb, path, canonical pattern key,
 //                        status, bytes, latency breakdown, stop_reason).
@@ -113,8 +117,7 @@ using namespace wflog;
       << "usage: wfqd --log <file.{csv,jsonl,xes}> | --store <dir>\n"
          "  [--bind ADDR] [--port N (0=ephemeral)] [--threads N] "
          "[--queue N]\n"
-         "  [--drain-ms N] [--batch-threads N] "
-         "[--bad-events reject|skip|quarantine]\n"
+         "  [--drain-ms N] [--bad-events reject|skip|quarantine]\n"
          "  [--max-deadline-ms N] [--max-incidents-cap N]\n"
          "shared flags: --trace <out.json>  --metrics  --metrics-json "
          "<file>\n"
@@ -190,7 +193,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--drain-ms" && has_value) {
       sopts.drain_timeout_ms = std::atoi(args[++i]);
     } else if (flag == "--batch-threads" && has_value) {
-      svc.batch_threads = static_cast<std::size_t>(std::atoll(args[++i]));
+      ++i;
+      std::cerr << "note: --batch-threads is ignored; /batch runs on "
+                   "--shards\n";
     } else if (flag == "--max-deadline-ms" && has_value) {
       svc.max_deadline_ms = std::atoll(args[++i]);
     } else if (flag == "--max-incidents-cap" && has_value) {

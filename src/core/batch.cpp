@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/parallel_eval.h"
 #include "core/shard.h"
 #include "obs/telemetry.h"
 
@@ -45,16 +44,14 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
                                         const BatchOptions& options,
                                         BatchEvalStats* stats) {
   const std::size_t num_queries = patterns.size();
-  const std::vector<Wid>& wids = index.wids();
-  const std::size_t threads =
-      resolve_worker_count(options.threads, wids.size());
-  const ShardPlan* splan =
-      options.shard_plan != nullptr && options.shard_plan->num_shards() > 1
-          ? options.shard_plan
-          : nullptr;
+  // No plan given: the whole log is one shard, run inline.
+  std::optional<ShardPlan> whole_log;
+  const ShardPlan& splan = options.shard_plan != nullptr
+                               ? *options.shard_plan
+                               : whole_log.emplace(index.wids(), 1);
 
   const BatchPlan plan(patterns);
-  // Each query's tree bound to the log once, shared by every worker.
+  // Each query's tree bound to the log once, shared by every shard.
   std::vector<std::optional<EvalPlan>> eval_plans(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
     if (patterns[q] != nullptr) {
@@ -62,103 +59,80 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
     }
   }
 
-  // per_wid[i][q] = incidents of query q in instance wids[i]. Workers
-  // write disjoint i's, so no synchronization is needed beyond the join.
-  std::vector<std::vector<IncidentList>> per_wid(wids.size());
-  // One slot per outer work unit (shard or instance).
-  std::vector<EvalCounters> unit_counters(
-      splan != nullptr ? splan->num_shards() : wids.size());
+  // per_shard[s][q] = query q's non-empty lists in shard s. Shards write
+  // disjoint entries, so no synchronization is needed beyond the join.
+  std::vector<std::vector<ShardResult>> per_shard(
+      splan.num_shards(), std::vector<ShardResult>(num_queries));
+  std::vector<EvalCounters> shard_counters(splan.num_shards());
 
-  // Per-query failure isolation, shared across workers: once a query
-  // throws anywhere, every worker skips it (its partial lists are
+  // Per-query failure isolation, shared across shards: once a query
+  // throws anywhere, every shard skips it (its partial lists are
   // discarded at assembly); the first error message wins.
   std::vector<std::atomic<bool>> failed(num_queries);
   std::vector<std::string> errors(num_queries);
   std::mutex errors_mu;
 
-  // The whole batch for ONE instance, with whatever evaluator/memo the
-  // outer scheduler hands in. Identical between the instance-unit and
-  // shard-unit paths, so results cannot depend on the scheduler.
-  const auto eval_instance = [&](const Evaluator& ev, SubpatternMemo* memo,
-                                 std::size_t i) {
-    std::vector<IncidentList>& lists = per_wid[i];
-    lists.resize(num_queries);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      if (patterns[q] == nullptr ||
-          failed[q].load(std::memory_order_relaxed)) {
-        continue;
+  const auto shard_task = [&](std::size_t s) {
+    WFLOG_SPAN(span, "shard.task");
+    const ShardPlan::Shard& shard = splan.shard(s);
+    std::vector<ShardResult>& out = per_shard[s];
+    const Evaluator ev(index, options.eval);
+    SubpatternMemo memo = plan.make_memo();
+    SubpatternMemo* memo_ptr = options.use_cache ? &memo : nullptr;
+    for (std::size_t j = 0; j < shard.wids.size(); ++j) {
+      if (options.guard != nullptr && options.guard->stopped()) {
+        WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
+        break;
       }
-      try {
-        lists[q] = ev.evaluate_instance(*eval_plans[q], i, memo, nullptr,
-                                        options.guard);
-      } catch (const std::exception& e) {
-        if (!failed[q].exchange(true, std::memory_order_relaxed)) {
-          const std::lock_guard<std::mutex> lock(errors_mu);
-          errors[q] = e.what();
+      if (memo_ptr != nullptr) memo_ptr->reset();
+      const std::size_t i = shard.global[j];
+      for (std::size_t q = 0; q < num_queries; ++q) {
+        if (patterns[q] == nullptr ||
+            failed[q].load(std::memory_order_relaxed)) {
+          continue;
         }
-        lists[q].clear();
+        try {
+          IncidentList list = ev.evaluate_instance(
+              *eval_plans[q], i, memo_ptr, nullptr, options.guard);
+          if (!list.empty()) {
+            out[q].positions.push_back(i);
+            out[q].wids.push_back(shard.wids[j]);
+            out[q].lists.push_back(std::move(list));
+          }
+        } catch (const std::exception& e) {
+          if (!failed[q].exchange(true, std::memory_order_relaxed)) {
+            const std::lock_guard<std::mutex> lock(errors_mu);
+            errors[q] = e.what();
+          }
+        }
       }
+    }
+    shard_counters[s] = ev.counters();
+    if (span.active()) {
+      span.arg("shard", static_cast<std::uint64_t>(s));
+      span.arg("instances", static_cast<std::uint64_t>(shard.wids.size()));
     }
   };
+  scatter_shards(splan.num_shards(), options.shard_pool, nullptr,
+                 shard_task);
 
-  if (splan != nullptr) {
-    WFLOG_TELEMETRY(t) {
-      t->shard_evals_total->inc();
-      t->shard_tasks_total->add(splan->num_shards());
-    }
-    const auto shard_task = [&](std::size_t s) {
-      WFLOG_SPAN(span, "shard.task");
-      const ShardPlan::Shard& shard = splan->shard(s);
-      const Evaluator ev(index, options.eval);
-      SubpatternMemo memo = plan.make_memo();
-      SubpatternMemo* memo_ptr = options.use_cache ? &memo : nullptr;
-      for (std::size_t j = 0; j < shard.wids.size(); ++j) {
-        if (options.guard != nullptr && options.guard->stopped()) {
-          WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
-          break;
-        }
-        if (memo_ptr != nullptr) memo_ptr->reset();
-        eval_instance(ev, memo_ptr, shard.global[j]);
-      }
-      unit_counters[s] = ev.counters();
-      if (span.active()) {
-        span.arg("shard", static_cast<std::uint64_t>(s));
-        span.arg("instances", static_cast<std::uint64_t>(shard.wids.size()));
-      }
-    };
-    if (options.shard_pool != nullptr) {
-      options.shard_pool->run(splan->num_shards(), shard_task);
-    } else {
-      for (std::size_t s = 0; s < splan->num_shards(); ++s) shard_task(s);
-    }
-  } else {
-    parallel_for_instances(wids.size(), threads, [&](std::size_t i) {
-      if (options.guard != nullptr && options.guard->stopped()) return;
-      const Evaluator ev(index, options.eval);
-      SubpatternMemo memo = plan.make_memo();
-      eval_instance(ev, options.use_cache ? &memo : nullptr, i);
-      unit_counters[i] = ev.counters();
-    });
-  }
-
-  // Assemble per query in ascending wid order — the exact shape
-  // Evaluator::evaluate produces (empty groups dropped). Failed queries
+  // Gather per query exactly as evaluate_sharded does. Failed queries
   // yield empty sets: a half-evaluated query would be misleading.
   std::vector<IncidentSet> results(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
     if (failed[q].load(std::memory_order_relaxed)) continue;
-    for (std::size_t i = 0; i < wids.size(); ++i) {
-      if (!per_wid[i][q].empty()) {
-        results[q].add_group(wids[i], std::move(per_wid[i][q]));
-      }
+    std::vector<ShardResult> parts(splan.num_shards());
+    for (std::size_t s = 0; s < splan.num_shards(); ++s) {
+      parts[s] = std::move(per_shard[s][q]);
     }
+    results[q] = merge_shards(splan.num_instances(), std::move(parts));
   }
 
   if (stats != nullptr) {
     *stats = BatchEvalStats{};
     stats->plan = plan.stats();
-    stats->threads_used = splan != nullptr ? splan->num_shards() : threads;
-    for (const EvalCounters& c : unit_counters) stats->counters += c;
+    stats->threads_used = splan.num_shards();
+    for (const EvalCounters& c : shard_counters) stats->counters += c;
     stats->query_errors = std::move(errors);
   }
   return results;

@@ -17,14 +17,17 @@
 //      is threaded through the evaluation of every query, so each slot is
 //      computed at most once per instance. The memo resets between
 //      instances.
-//   3. With threads > 1, instances are partitioned across workers by the
-//      work-stealing scheduler of core/parallel_eval.h; each worker
-//      evaluates the WHOLE batch over its share with its own memo.
+//   3. Parallelism = the engine's shard count: the instance loop runs per
+//      wid-shard of a ShardPlan (core/shard.h), each shard evaluating the
+//      WHOLE batch over its instances with its own evaluator and memo,
+//      scattered through scatter_shards — the same loop the single-query
+//      drivers use. No plan = the whole log as one shard, run inline.
+//      QueryEngine::run_batch's `threads` argument is ignored.
 //
-// Results are assembled per query in ascending wid order, making the
-// output bit-identical to N independent Evaluator::evaluate calls
-// (property-tested in tests/batch_test.cpp, serial and parallel, with and
-// without the cache).
+// Results are gathered per query with merge_shards, in ascending wid
+// order, making the output bit-identical to N independent
+// Evaluator::evaluate calls (property-tested in tests/batch_test.cpp for
+// several shard counts on a worker pool, with and without the cache).
 
 #include <span>
 
@@ -36,9 +39,6 @@ class ShardPlan;
 class ShardPool;
 
 struct BatchOptions {
-  /// Workers partitioning the instances; 1 = serial on the caller's
-  /// thread, 0 = std::thread::hardware_concurrency().
-  std::size_t threads = 1;
   /// Share subpattern results through the canonical-key memo. Off, the
   /// batch still runs in one pass but every query recomputes its tree.
   bool use_cache = true;
@@ -46,12 +46,13 @@ struct BatchOptions {
   /// Optional resource guard (core/guard.h) shared by the whole pass: a
   /// trip stops every query, each returning its partial set. Borrowed.
   const EvalGuard* guard = nullptr;
-  /// Sharded scheduling (core/shard.h): when set (and it has > 1 shard),
-  /// the outer work unit becomes a whole wid-shard — one evaluator + one
-  /// memo per shard, scattered on `shard_pool` (serial when null) — and
-  /// `threads` is ignored. Results stay bit-identical: assembly is by
-  /// global instance position either way. Both borrowed.
+  /// The wid partition to scatter over (core/shard.h): the outer work
+  /// unit is a whole shard — one evaluator + one memo per shard. Null =
+  /// the whole log as one shard. It must partition index.wids(). Results
+  /// are bit-identical for every plan. Borrowed.
   const ShardPlan* shard_plan = nullptr;
+  /// Pool the shards scatter on; null = serial on the caller's thread.
+  /// Borrowed.
   ShardPool* shard_pool = nullptr;
 };
 
@@ -92,8 +93,10 @@ class BatchPlan {
 
 /// Work/traffic tallies of one evaluate_batch call.
 struct BatchEvalStats {
-  EvalCounters counters;  // summed across queries, instances, workers
+  EvalCounters counters;  // summed across queries, instances, shards
   BatchPlanStats plan;
+  /// Shards the pass scattered over (named for the /batch JSON key
+  /// `stats.threads_used`, which reports it).
   std::size_t threads_used = 1;
   /// Per-query failure isolation: query_errors[q] is empty when query q
   /// evaluated cleanly, else the error that stopped it. A failed query

@@ -236,12 +236,12 @@ BatchResult QueryEngine::run_batch(std::span<const Query> queries,
 }
 
 BatchResult QueryEngine::run_batch(std::span<const Query> queries,
-                                   std::size_t threads, bool use_cache,
+                                   std::size_t /*threads*/, bool use_cache,
                                    const RunLimits& limits) const {
   WFLOG_SPAN(span, "batch");
   if (span.active()) {
     span.arg("queries", static_cast<std::uint64_t>(queries.size()));
-    span.arg("threads", static_cast<std::uint64_t>(threads));
+    span.arg("shards", static_cast<std::uint64_t>(shard_plan_.num_shards()));
   }
   BatchResult batch;
   batch.results.resize(queries.size());
@@ -287,16 +287,13 @@ BatchResult QueryEngine::run_batch(std::span<const Query> queries,
 
   const std::optional<EvalGuard> guard = make_guard(options_, limits);
   BatchOptions opts;
-  opts.threads = threads;
   opts.use_cache = use_cache;
   opts.eval = options_.eval;
   opts.guard = guard.has_value() ? &*guard : nullptr;
-  if (shard_plan_.num_shards() > 1) {
-    // Sharded engine: the batch pass scatters whole shards (one memo per
-    // shard) on the engine's pool instead of spawning per-call workers.
-    opts.shard_plan = &shard_plan_;
-    opts.shard_pool = shard_pool_.get();
-  }
+  // The pass scatters whole shards (one memo per shard) on the engine's
+  // pool; an unsharded engine is a 1-shard plan with no pool, run inline.
+  opts.shard_plan = &shard_plan_;
+  opts.shard_pool = shard_pool_.get();
   const auto t1 = Clock::now();
   {
     WFLOG_SPAN(eval_span, "batch.eval");
@@ -313,7 +310,7 @@ BatchResult QueryEngine::run_batch(std::span<const Query> queries,
         r.error = batch.stats.query_errors[q];
       }
       if (!r.ok()) continue;  // error slot: no incidents
-      r.shards_used = opts.shard_plan != nullptr ? shard_plan_.num_shards() : 1;
+      r.shards_used = shard_plan_.num_shards();
       r.incidents = std::move(sets[q]);
       if (r.where != nullptr) {
         try {

@@ -155,9 +155,10 @@ class QueryEngine {
   /// each query is parsed/optimized exactly as run() would, then all
   /// executed patterns are evaluated together, sharing every subtree with
   /// an equal canonical key (Theorems 2-4) through a per-instance memo.
-  /// results[q] is bit-identical to run(queries[q]). `threads` partitions
-  /// instances across workers (1 = serial, 0 = hardware concurrency);
-  /// `use_cache` toggles the subpattern memo.
+  /// results[q] is bit-identical to run(queries[q]). Parallelism = the
+  /// engine's shard count (QueryOptions::shards): the pass scatters whole
+  /// shards on the engine's pool. `threads` is ignored (kept for source
+  /// compatibility); `use_cache` toggles the subpattern memo.
   ///
   /// Failure isolation: a query that fails to parse, optimize, or
   /// evaluate becomes an error slot (results[q].error set, no incidents)

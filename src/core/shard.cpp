@@ -125,41 +125,31 @@ IncidentSet merge_shards(std::size_t num_instances,
   return merged;
 }
 
-namespace {
-
-/// Scatters `task(shard)` per the options: pool, injected serial order
-/// (the test scheduler hook), or plain serial.
-void scatter(const ShardPlan& plan, const ShardEvalOptions& options,
-             const std::function<void(std::size_t)>& task) {
-  const std::size_t n = plan.num_shards();
-  if (options.pool != nullptr) {
-    options.pool->run(n, task);
-    return;
+void scatter_shards(std::size_t num_shards, ShardPool* pool,
+                    const std::vector<std::size_t>* completion_order,
+                    const std::function<void(std::size_t)>& task) {
+  if (num_shards > 1) {
+    WFLOG_TELEMETRY(t) {
+      t->shard_evals_total->inc();
+      t->shard_tasks_total->add(num_shards);
+    }
   }
-  if (options.completion_order != nullptr) {
-    for (const std::size_t s : *options.completion_order) task(s);
-    return;
-  }
-  for (std::size_t s = 0; s < n; ++s) task(s);
-}
-
-void count_shard_telemetry(const ShardPlan& plan) {
-  WFLOG_TELEMETRY(t) {
-    t->shard_evals_total->inc();
-    t->shard_tasks_total->add(plan.num_shards());
+  if (pool != nullptr) {
+    pool->run(num_shards, task);
+  } else if (completion_order != nullptr) {
+    for (const std::size_t s : *completion_order) task(s);
+  } else {
+    for (std::size_t s = 0; s < num_shards; ++s) task(s);
   }
 }
-
-}  // namespace
 
 IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
                              const ShardPlan& plan,
                              const ShardEvalOptions& options) {
-  count_shard_telemetry(plan);
   std::vector<ShardResult> results(plan.num_shards());
   std::vector<EvalCounters> counters(plan.num_shards());
   const EvalPlan eval_plan(p, index.log());
-  scatter(plan, options, [&](std::size_t s) {
+  const auto shard_task = [&](std::size_t s) {
     WFLOG_SPAN(span, "shard.task");
     const ShardPlan::Shard& shard = plan.shard(s);
     const Evaluator ev(index, options.eval);
@@ -185,7 +175,9 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
       span.arg("instances", static_cast<std::uint64_t>(shard.wids.size()));
       span.arg("groups", static_cast<std::uint64_t>(out.lists.size()));
     }
-  });
+  };
+  scatter_shards(plan.num_shards(), options.pool, options.completion_order,
+                 shard_task);
   if (options.counters != nullptr) {
     for (const EvalCounters& c : counters) *options.counters += c;
   }
@@ -195,14 +187,13 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
 std::size_t count_sharded(const Pattern& p, const LogIndex& index,
                           const ShardPlan& plan,
                           const ShardEvalOptions& options) {
-  count_shard_telemetry(plan);
   const auto chain = options.eval.use_linear_fast_path &&
                              options.eval.max_span == 0
                          ? as_linear_chain(p)
                          : std::nullopt;
   std::vector<std::size_t> per_shard(plan.num_shards(), 0);
   const EvalPlan eval_plan(p, index.log());
-  scatter(plan, options, [&](std::size_t s) {
+  const auto shard_task = [&](std::size_t s) {
     WFLOG_SPAN(span, "shard.task");
     const ShardPlan::Shard& shard = plan.shard(s);
     std::size_t n = 0;
@@ -219,7 +210,9 @@ std::size_t count_sharded(const Pattern& p, const LogIndex& index,
       span.arg("shard", static_cast<std::uint64_t>(s));
       span.arg("count", static_cast<std::uint64_t>(n));
     }
-  });
+  };
+  scatter_shards(plan.num_shards(), options.pool, options.completion_order,
+                 shard_task);
   std::size_t total = 0;
   for (const std::size_t n : per_shard) total += n;
   return total;
@@ -228,14 +221,13 @@ std::size_t count_sharded(const Pattern& p, const LogIndex& index,
 bool exists_sharded(const Pattern& p, const LogIndex& index,
                     const ShardPlan& plan,
                     const ShardEvalOptions& options) {
-  count_shard_telemetry(plan);
   const auto chain = options.eval.use_linear_fast_path &&
                              options.eval.max_span == 0
                          ? as_linear_chain(p)
                          : std::nullopt;
   std::atomic<bool> found{false};
   const EvalPlan eval_plan(p, index.log());
-  scatter(plan, options, [&](std::size_t s) {
+  const auto shard_task = [&](std::size_t s) {
     WFLOG_SPAN(span, "shard.task");
     const ShardPlan::Shard& shard = plan.shard(s);
     const Evaluator ev(index, options.eval);
@@ -251,7 +243,9 @@ bool exists_sharded(const Pattern& p, const LogIndex& index,
       }
     }
     if (span.active()) span.arg("shard", static_cast<std::uint64_t>(s));
-  });
+  };
+  scatter_shards(plan.num_shards(), options.pool, options.completion_order,
+                 shard_task);
   return found.load(std::memory_order_relaxed);
 }
 

@@ -19,8 +19,11 @@
 //                      engine (scatter without per-query thread spawns; the
 //                      caller participates, so a 0-worker pool degrades to
 //                      the serial loop).
-//   * evaluate_sharded / count_sharded / exists_sharded — scatter/gather
-//                      drivers over the ordinary per-instance evaluator.
+//   * scatter_shards  — the one loop that hands shards to the pool (or
+//                      runs them inline); evaluate_sharded / count_sharded /
+//                      exists_sharded and evaluate_batch (core/batch.h) are
+//                      scatter/gather drivers over it and the ordinary
+//                      per-instance evaluator.
 //
 // Resource guards: one EvalGuard is shared by every shard (it is built for
 // exactly that — atomic budget, atomic trip), so the deadline, the
@@ -170,6 +173,16 @@ struct ShardResult {
 /// instance count (positions index into it).
 IncidentSet merge_shards(std::size_t num_instances,
                          std::vector<ShardResult> results);
+
+/// The one scatter loop of the tree: runs task(s) for every shard s in
+/// [0, num_shards) on `pool` when set, else serially on the calling thread
+/// — in `completion_order` when set (the test scheduler hook: a
+/// permutation of [0, num_shards)), else in shard order. The drivers below
+/// and the batch engine (core/batch.h) all scatter through it; a scatter
+/// over more than one shard is counted in telemetry.
+void scatter_shards(std::size_t num_shards, ShardPool* pool,
+                    const std::vector<std::size_t>* completion_order,
+                    const std::function<void(std::size_t)>& task);
 
 struct ShardEvalOptions {
   EvalOptions eval;

@@ -3,7 +3,7 @@
 // MetricsRegistry — named counters, gauges, and fixed-bucket histograms
 // for engine-wide telemetry.
 //
-// The hot path is record-side: the parallel evaluator, batch workers, the
+// The hot path is record-side: the shard workers (queries and batches), the
 // monitor, and the log store all bump metrics from whatever thread they
 // happen to run on. To keep that contention-free, counter and histogram
 // cells live in LOCK-FREE THREAD-LOCAL SHARDS: each thread lazily acquires

@@ -54,10 +54,6 @@ Telemetry::Telemetry() {
       metrics.counter("wflog_eval_cache_bytes_total",
                       "Incident bytes retained in subpattern memos");
 
-  parallel_workers_total =
-      metrics.counter("wflog_parallel_workers_total",
-                      "Worker threads spawned by the instance scheduler");
-
   shard_evals_total =
       metrics.counter("wflog_shard_evals_total",
                       "Sharded scatter/gather evaluations executed");

@@ -60,9 +60,6 @@ struct Telemetry {
   Counter* eval_cache_misses_total;
   Counter* eval_cache_bytes_total;
 
-  // ----- parallel scheduler ----------------------------------------------
-  Counter* parallel_workers_total;
-
   // ----- sharded scatter/gather -------------------------------------------
   Counter* shard_evals_total;      // sharded evaluations (scatter/gather runs)
   Counter* shard_tasks_total;      // shard tasks scattered

@@ -803,7 +803,6 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   mark_spans(ctx);
   std::vector<std::string> texts;
   RunLimits limits;
-  std::size_t threads = options_.batch_threads;
   std::size_t render_limit = options_.default_render_limit;
   try {
     const JsonValue body = parse_json(req.body);
@@ -818,8 +817,6 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
       texts.push_back(q.as_string());
     }
     limits = limits_from(body);
-    threads = std::clamp<std::size_t>(
-        read_size(body, "threads", options_.batch_threads), 1, 64);
     render_limit = read_size(body, "limit", options_.default_render_limit);
   } catch (const std::exception& e) {
     ctx.parse_us = us_since(t0);
@@ -853,7 +850,8 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   if (!cache_on) {
     const auto te0 = Clock::now();
     const BatchResult batch =
-        st->engine->run_batch(texts, threads, /*use_cache=*/true, limits);
+        st->engine->run_batch(texts, /*threads (ignored)=*/1,
+                              /*use_cache=*/true, limits);
     ctx.eval_us = us_since(te0);
     ctx.shards = st->engine->shards();
     ctx.stop_reason = batch_stop_reason(batch.results);
@@ -918,7 +916,8 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   if (!miss_queries.empty()) {
     const auto te0 = Clock::now();
     batch = st->engine->run_batch(std::span<const Query>(miss_queries),
-                                  threads, /*use_cache=*/true, limits);
+                                  /*threads (ignored)=*/1,
+                                  /*use_cache=*/true, limits);
     ctx.eval_us = us_since(te0);
     ctx.shards = st->engine->shards();
     const auto ti0 = Clock::now();

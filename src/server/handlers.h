@@ -60,8 +60,6 @@ struct ServiceOptions {
   /// Incident groups rendered per /query response unless the request sets
   /// "limit" (bounds response size, not evaluation).
   std::size_t default_render_limit = 1000;
-  /// Threads handed to run_batch for /batch requests.
-  std::size_t batch_threads = 1;
   /// Ingest feed behavior (monitor.h). kReject turns a bad event into a
   /// 400 aborting the rest of its request; kSkip/kQuarantine apply the
   /// good events and report the bad ones in the response.

@@ -1,7 +1,8 @@
 // Batch engine (core/batch.h, QueryEngine::run_batch):
 //   * differential property: run_batch of N queries is bit-identical to N
-//     independent runs — serial and parallel, with and without the
-//     subpattern cache, on random logs and random patterns,
+//     independent runs — on one shard and on several shards scattered on
+//     a worker pool, with and without the subpattern cache, on random
+//     logs and random patterns,
 //   * the planner actually finds sharing (slots < nodes, nonzero hits),
 //   * where clauses and duplicate queries behave exactly as in run().
 
@@ -11,8 +12,8 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/parallel_eval.h"
 #include "core/rewriter.h"
+#include "core/shard.h"
 #include "core/synthetic.h"
 #include "test_util.h"
 #include "workflow/workload.h"
@@ -22,7 +23,25 @@ namespace {
 
 using testing::make_log;
 
+QueryOptions shard_options(std::size_t shards) {
+  QueryOptions options;
+  options.shards = shards;
+  return options;
+}
+
 // ----- evaluator-level differential --------------------------------------
+
+/// evaluate_batch over a K-shard plan on a pool of K-1 workers (the
+/// engine's configuration), so every shard of the pass can run at once.
+std::vector<IncidentSet> evaluate_batch_sharded(
+    std::span<const PatternPtr> patterns, const LogIndex& index,
+    std::size_t shards, BatchOptions opts, BatchEvalStats* stats = nullptr) {
+  const ShardPlan plan(index.wids(), shards);
+  ShardPool pool(plan.num_shards() - 1);
+  opts.shard_plan = &plan;
+  opts.shard_pool = &pool;
+  return evaluate_batch(patterns, index, opts, stats);
+}
 
 class BatchDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -47,20 +66,20 @@ TEST_P(BatchDifferentialTest, MatchesIndependentEvaluationEverywhere) {
   std::vector<IncidentSet> expected;
   for (const PatternPtr& p : patterns) expected.push_back(ev.evaluate(*p));
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     for (const bool use_cache : {true, false}) {
       BatchOptions opts;
-      opts.threads = threads;
       opts.use_cache = use_cache;
       BatchEvalStats stats;
       const std::vector<IncidentSet> got =
-          evaluate_batch(patterns, index, opts, &stats);
+          evaluate_batch_sharded(patterns, index, shards, opts, &stats);
       ASSERT_EQ(got.size(), expected.size());
       for (std::size_t q = 0; q < expected.size(); ++q) {
         EXPECT_EQ(got[q], expected[q])
-            << "seed=" << seed << " q=" << q << " threads=" << threads
+            << "seed=" << seed << " q=" << q << " shards=" << shards
             << " cache=" << use_cache;
       }
+      EXPECT_EQ(stats.threads_used, shards);
       EXPECT_EQ(stats.plan.num_queries, patterns.size());
       EXPECT_GT(stats.plan.total_nodes, stats.plan.distinct_slots)
           << "duplicate + subtree queries must share slots";
@@ -95,10 +114,9 @@ TEST_P(BatchDifferentialTest, AgreesUnderSpanWindowsAndNaiveOperators) {
       eval.max_span = span;
       const Evaluator ev(index, eval);
       BatchOptions opts;
-      opts.threads = 2;
       opts.eval = eval;
       const std::vector<IncidentSet> got =
-          evaluate_batch(patterns, index, opts);
+          evaluate_batch_sharded(patterns, index, 2, opts);
       for (std::size_t q = 0; q < patterns.size(); ++q) {
         EXPECT_EQ(got[q], ev.evaluate(*patterns[q]))
             << "seed=" << seed << " span=" << span
@@ -115,7 +133,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferentialTest,
 
 TEST(RunBatchTest, MatchesRunPerQuery) {
   const Log log = workload::clinic(30, 0xBA7C);
-  QueryEngine engine(log);
   const std::vector<std::string> queries = {
       "GetRefer -> GetReimburse",
       "SeeDoctor -> (UpdateRefer -> GetReimburse)",
@@ -123,15 +140,16 @@ TEST(RunBatchTest, MatchesRunPerQuery) {
       "GetRefer -> GetReimburse",  // duplicate of [0]
       "CheckIn & SeeDoctor",
   };
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    const QueryEngine engine(log, shard_options(shards));
     for (const bool use_cache : {true, false}) {
-      const BatchResult batch =
-          engine.run_batch(queries, threads, use_cache);
+      const BatchResult batch = engine.run_batch(queries, 1, use_cache);
+      EXPECT_EQ(batch.stats.threads_used, shards);
       ASSERT_EQ(batch.num_queries(), queries.size());
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const QueryResult solo = engine.run(queries[q]);
         EXPECT_EQ(batch.results[q].incidents, solo.incidents)
-            << queries[q] << " threads=" << threads
+            << queries[q] << " shards=" << shards
             << " cache=" << use_cache;
         EXPECT_TRUE(
             batch.results[q].executed->structurally_equal(*solo.executed))
@@ -144,13 +162,13 @@ TEST(RunBatchTest, MatchesRunPerQuery) {
 
 TEST(RunBatchTest, WhereClausesFilterExactlyAsRun) {
   const Log log = workload::procurement(25, 0xF00D);
-  QueryEngine engine(log);
+  const QueryEngine engine(log, shard_options(2));
   const std::vector<std::string> queries = {
       "c:CreatePO -> p:Pay where c.out.poAmount > 1000",
       "c:CreatePO -> p:Pay",
       "c:CreatePO -> p:Pay where c.out.poAmount > 1000000000",
   };
-  const BatchResult batch = engine.run_batch(queries, 2, true);
+  const BatchResult batch = engine.run_batch(queries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(batch.results[q].incidents,
               engine.run(queries[q]).incidents)

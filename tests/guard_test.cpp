@@ -29,6 +29,12 @@ Log all_a_log(std::size_t m) {
   return testing::make_log(spec);
 }
 
+QueryOptions shard_options(std::size_t shards) {
+  QueryOptions options;
+  options.shards = shards;
+  return options;
+}
+
 constexpr std::size_t kM = 200;
 constexpr const char* kWorstCase = "a -> a -> a";
 
@@ -185,10 +191,11 @@ TEST(GuardTest, BatchIsolatesWhereFailure) {
 
 TEST(GuardTest, BatchAllGoodMatchesIndividualRuns) {
   const Log log = testing::make_log("a b c d ; d c b a ; a c a c");
-  const QueryEngine engine(log);
+  const QueryEngine engine(log, shard_options(2));
   const std::vector<std::string> texts = {"a -> b", "a . c", "(a | d) -> c",
                                           "a & d"};
-  const BatchResult batch = engine.run_batch(texts, /*threads=*/2);
+  const BatchResult batch = engine.run_batch(texts);
+  EXPECT_EQ(batch.stats.threads_used, 2u);
   ASSERT_EQ(batch.results.size(), texts.size());
   for (std::size_t q = 0; q < texts.size(); ++q) {
     EXPECT_TRUE(batch.results[q].ok());
@@ -371,7 +378,8 @@ TEST(GuardTest, BatchRunLimitsApplyToEverySlot) {
   limits.max_incidents = 500;
   const std::vector<std::string> texts = {kWorstCase, "a -> a"};
   const BatchResult batch =
-      engine.run_batch(texts, /*threads=*/1, /*use_cache=*/true, limits);
+      engine.run_batch(texts, /*threads (ignored)=*/1, /*use_cache=*/true,
+                       limits);
   ASSERT_EQ(batch.results.size(), 2u);
   for (const QueryResult& r : batch.results) {
     EXPECT_TRUE(r.ok());
@@ -391,6 +399,33 @@ TEST(GuardTest, BatchHonoursIncidentBudget) {
   for (const QueryResult& r : batch.results) {
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.stop_reason, StopReason::kIncidentBudget);
+  }
+}
+
+TEST(GuardTest, BatchStoppedBeforeLaterInstancesReturnsPartialSets) {
+  // The guard trips in the first instance, so every later instance of
+  // the pass is skipped; the gather must treat them as empty (it once
+  // indexed their never-filled result slots).
+  const Log log =
+      testing::make_log("a b a ; a b a ; a b a ; a b a ; a b a ; a b a");
+  const std::vector<std::string> texts = {"a -> b", "a", "b . a"};
+  for (const std::size_t shards : {1, 3}) {
+    const QueryEngine engine(log, shard_options(shards));
+    RunLimits cancelled;
+    cancelled.cancel = make_cancel_token();
+    cancelled.cancel->store(true);
+    RunLimits budget;
+    budget.max_incidents = 1;
+    for (const RunLimits& limits : {cancelled, budget}) {
+      const BatchResult batch = engine.run_batch(texts, 1, true, limits);
+      ASSERT_EQ(batch.results.size(), texts.size());
+      for (std::size_t q = 0; q < texts.size(); ++q) {
+        const QueryResult& r = batch.results[q];
+        EXPECT_TRUE(r.ok()) << texts[q];
+        EXPECT_FALSE(r.complete()) << texts[q] << " shards=" << shards;
+        EXPECT_LT(r.total(), engine.run(texts[q]).total()) << texts[q];
+      }
+    }
   }
 }
 

@@ -4,16 +4,17 @@
 //   * serialization round trips on random simulated logs (CSV/JSONL/XES),
 //   * Theorem 1's combinatorics: the ⊕-chain on the uniform log produces
 //     exactly C(m, k+1) incidents under set semantics,
-//   * optimizer/rewrites remain sound under span windows.
+//   * optimizer/rewrites remain sound under span windows,
+//   * pooled sharded evaluation agrees with serial under every option.
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/parallel_eval.h"
 #include "core/printer.h"
 #include "core/rewriter.h"
+#include "core/shard.h"
 #include "log/io_csv.h"
 #include "log/io_jsonl.h"
 #include "log/io_xes.h"
@@ -192,22 +193,25 @@ TEST(SpanRewriteTest, NeighborsPreserveWindowedSemantics) {
   }
 }
 
-// ----- serial vs parallel under every option ------------------------------
+// ----- serial vs pooled shards under every option -------------------------
 
-TEST(ParallelConsistencyTest, OptionsMatrixAgrees) {
+TEST(ShardConsistencyTest, OptionsMatrixAgrees) {
   const Log log = workload::random_process(25, 41);
   const LogIndex index(log);
   const PatternPtr p = parse_pattern("(A0 -> A1) | (A2 & A3)");
+  const ShardPlan plan(index.wids(), 4);
+  ShardPool pool(plan.num_shards() - 1);
   for (bool optimized : {false, true}) {
     for (IsLsn span : {IsLsn{0}, IsLsn{3}}) {
       EvalOptions eval_opts;
       eval_opts.use_optimized_operators = optimized;
       eval_opts.max_span = span;
       const Evaluator serial(index, eval_opts);
-      ParallelOptions par;
-      par.threads = 4;
-      par.eval = eval_opts;
-      EXPECT_EQ(evaluate_parallel(*p, index, par), serial.evaluate(*p))
+      ShardEvalOptions sharded;
+      sharded.eval = eval_opts;
+      sharded.pool = &pool;
+      EXPECT_EQ(evaluate_sharded(*p, index, plan, sharded),
+                serial.evaluate(*p))
           << "optimized=" << optimized << " span=" << span;
     }
   }

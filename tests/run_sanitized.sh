@@ -2,8 +2,8 @@
 # Builds the test suite under a sanitizer and runs it.
 # Usage: tests/run_sanitized.sh [thread] [ctest args...]
 #   (default)  AddressSanitizer + UBSan in build-sanitize/
-#   thread     ThreadSanitizer in build-tsan/ (the shard pool / parallel
-#              scheduler race tier)
+#   thread     ThreadSanitizer in build-tsan/ (the shard pool race
+#              tier)
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

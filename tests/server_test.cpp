@@ -1642,6 +1642,33 @@ TEST(ShardedServerTest, CacheHitMissPatternUnchangedAcrossShardCounts) {
       << "cached answers differ between shard counts";
 }
 
+TEST(ShardedServerTest, BatchRunsOnShardsAndIgnoresThreadsField) {
+  // /batch parallelism is the daemon's shard count; a "threads" field in
+  // the body is still accepted (old clients send it) but changes nothing.
+  const Log log = workload::clinic(25, 3);
+  const std::string body =
+      R"({"queries": ["GetRefer -> SeeDoctor", "CheckIn"], "threads": 8})";
+  std::vector<std::string> answers;
+  for (const std::size_t shards : {1, 4}) {
+    TestServer ts(workload::clinic(25, 3), sharded_svc(shards));
+    server::HttpClient c = ts.client();
+    const server::ClientResponse resp = c.post("/batch", body);
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    const server::JsonValue v = server::parse_json(resp.body);
+    EXPECT_EQ(v.find("stats")->find("threads_used")->as_int(),
+              static_cast<std::int64_t>(shards));
+    const server::JsonArray& results = v.find("results")->as_array();
+    ASSERT_EQ(results.size(), 2u);
+    const QueryEngine engine(log);
+    EXPECT_EQ(results[0].find("total")->as_int(),
+              static_cast<std::int64_t>(
+                  engine.run("GetRefer -> SeeDoctor").total()));
+    answers.push_back(results[0].find("incidents")->dump() +
+                      results[1].find("incidents")->dump());
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+}
+
 TEST(ShardedServerTest, StatsReportShardConfiguration) {
   TestServer ts(workload::clinic(10, 1), sharded_svc(4));
   server::HttpClient c = ts.client();

@@ -497,6 +497,105 @@ TEST(ShardDifferentialTest, EvalOptionsFlowThrough) {
   }
 }
 
+// ----- pooled scatter: one worker per shard --------------------------------
+//
+// The engine's own configuration: a K-shard plan on a pool of K-1 workers
+// (the caller is the K-th), so every shard can be in flight at once.
+
+IncidentSet evaluate_pooled(const Pattern& p, const LogIndex& index,
+                            std::size_t shards, EvalOptions eval = {}) {
+  const ShardPlan plan(index.wids(), shards);
+  ShardPool pool(plan.num_shards() - 1);
+  ShardEvalOptions opts;
+  opts.eval = eval;
+  opts.pool = &pool;
+  return evaluate_sharded(p, index, plan, opts);
+}
+
+TEST(ShardPooledTest, MatchesSerialOnClinic) {
+  const Log log = workload::clinic(80, 3);
+  const LogIndex index(log);
+  const Evaluator serial(index);
+  const char* queries[] = {
+      "UpdateRefer -> GetReimburse",
+      "SeeDoctor . PayTreatment",
+      "(SeeDoctor -> CompleteRefer) | (SeeDoctor -> TerminateRefer)",
+      "(GetRefer . CheckIn) & SeeDoctor",
+      "!UpdateRefer . GetReimburse",
+  };
+  for (const char* q : queries) {
+    const PatternPtr p = parse_pattern(q);
+    const std::string expected = serialize(serial.evaluate(*p));
+    for (const std::size_t k : {1, 2, 4, 8}) {
+      EXPECT_EQ(serialize(evaluate_pooled(*p, index, k)), expected)
+          << q << " K=" << k;
+    }
+  }
+}
+
+TEST(ShardPooledTest, GroupOrderIsDeterministic) {
+  const Log log = workload::random_process(50, 8);
+  const LogIndex index(log);
+  const PatternPtr p = parse_pattern("A0 -> A1");
+  // Not just set equality: identical group order (first appearance) and
+  // positions, run after run, and equal to the serial evaluator's.
+  const std::string a = serialize(evaluate_pooled(*p, index, 4));
+  const std::string b = serialize(evaluate_pooled(*p, index, 4));
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, serialize(Evaluator(index).evaluate(*p)));
+}
+
+TEST(ShardPooledTest, MoreShardsThanInstances) {
+  const Log log = make_log("a b ; b a");
+  const LogIndex index(log);
+  EXPECT_EQ(ShardPlan(index.wids(), 16).num_shards(), 2u);
+  EXPECT_EQ(evaluate_pooled(*parse_pattern("a -> b"), index, 16).total(), 1u);
+}
+
+TEST(ShardPooledTest, DefaultShardCount) {
+  // shards = 0 resolves to hardware concurrency (clamped to the wids).
+  const Log log = workload::clinic(20, 1);
+  const LogIndex index(log);
+  const PatternPtr p = parse_pattern("GetRefer -> GetReimburse");
+  EXPECT_EQ(serialize(evaluate_pooled(*p, index, 0)),
+            serialize(Evaluator(index).evaluate(*p)));
+}
+
+TEST(ShardPooledTest, CountAgreesOnLinearAndMaterializingPaths) {
+  const Log log = workload::clinic(60, 14);
+  const LogIndex index(log);
+  const Evaluator serial(index);
+  const char* queries[] = {
+      "SeeDoctor -> PayTreatment",                 // linear: DP path
+      "(SeeDoctor | UpdateRefer) & PayTreatment",  // materializing path
+  };
+  const ShardPlan plan(index.wids(), 4);
+  ShardPool pool(plan.num_shards() - 1);
+  ShardEvalOptions opts;
+  opts.pool = &pool;
+  for (const char* q : queries) {
+    const PatternPtr p = parse_pattern(q);
+    EXPECT_EQ(count_sharded(*p, index, plan, opts), serial.count(*p)) << q;
+  }
+}
+
+TEST(ShardPooledTest, MaxSpanFlowsThrough) {
+  const Log log = make_log("a b ; a x b");
+  const LogIndex index(log);
+  EvalOptions eval;
+  eval.max_span = 2;
+  // Span window 2: only the adjacent pair survives — materialized and
+  // counted (max_span turns the linear fast path off).
+  const PatternPtr p = parse_pattern("a -> b");
+  EXPECT_EQ(evaluate_pooled(*p, index, 2, eval).total(), 1u);
+  const ShardPlan plan(index.wids(), 2);
+  ShardPool pool(plan.num_shards() - 1);
+  ShardEvalOptions opts;
+  opts.eval = eval;
+  opts.pool = &pool;
+  EXPECT_EQ(count_sharded(*p, index, plan, opts), 1u);
+}
+
 // ----- differential: aggregates --------------------------------------------
 
 TEST(ShardAggregateTest, CombineGroupsMatchesWholeFold) {
