@@ -41,14 +41,12 @@ std::string chain_query(std::size_t atoms) {
 void BM_CountMaterialized(benchmark::State& state) {
   const Log& log = chain_log(static_cast<std::size_t>(state.range(0)));
   const LogIndex index(log);
-  EvalOptions opts;
-  opts.use_linear_fast_path = false;
-  const Evaluator ev(index, opts);
+  const Evaluator ev(index);
   const PatternPtr p =
       parse_pattern(chain_query(static_cast<std::size_t>(state.range(1))));
   std::size_t count = 0;
   for (auto _ : state) {
-    count = ev.count(*p);
+    count = ev.evaluate(*p).total();
     benchmark::DoNotOptimize(count);
   }
   state.counters["count"] = static_cast<double>(count);
@@ -57,7 +55,7 @@ void BM_CountMaterialized(benchmark::State& state) {
 void BM_CountLinearDP(benchmark::State& state) {
   const Log& log = chain_log(static_cast<std::size_t>(state.range(0)));
   const LogIndex index(log);
-  const Evaluator ev(index);  // fast path on
+  const Evaluator ev(index);  // count() takes the DP for linear chains
   const PatternPtr p =
       parse_pattern(chain_query(static_cast<std::size_t>(state.range(1))));
   std::size_t count = 0;
@@ -71,13 +69,11 @@ void BM_CountLinearDP(benchmark::State& state) {
 void BM_ExistsMaterialized(benchmark::State& state) {
   const Log& log = chain_log(static_cast<std::size_t>(state.range(0)));
   const LogIndex index(log);
-  EvalOptions opts;
-  opts.use_linear_fast_path = false;
-  const Evaluator ev(index, opts);
+  const Evaluator ev(index);
   const PatternPtr p =
       parse_pattern(chain_query(static_cast<std::size_t>(state.range(1))));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ev.exists(*p));
+    benchmark::DoNotOptimize(!ev.evaluate(*p).empty());
   }
 }
 

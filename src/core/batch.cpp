@@ -81,7 +81,7 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
     SubpatternMemo* memo_ptr = options.use_cache ? &memo : nullptr;
     for (std::size_t j = 0; j < shard.wids.size(); ++j) {
       if (options.guard != nullptr && options.guard->stopped()) {
-        WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
+        count_shard_cancelled(splan.num_shards());
         break;
       }
       if (memo_ptr != nullptr) memo_ptr->reset();

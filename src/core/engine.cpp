@@ -146,44 +146,33 @@ QueryResult QueryEngine::run(PatternPtr pattern, JoinExprPtr where,
   }
 
   obs::Telemetry* telemetry = obs::telemetry();
-
-  // Serial evaluation gets a per-run Evaluator (construction just borrows
-  // the index): its work counters mutate on const calls, so a shared
-  // long-lived evaluator races when concurrent callers share the engine —
-  // the same reason every shard task builds its own.
-  const Evaluator ev(index_, options_.eval);
-
   const std::optional<EvalGuard> guard = make_guard(options_, limits);
   const EvalGuard* guard_ptr = guard.has_value() ? &*guard : nullptr;
-  // Node-traced runs stay serial: per-node spans interleaved across shard
-  // workers would scramble the explain() tree.
+  // Node-traced runs stay on one serial evaluator: per-node spans
+  // interleaved across shard workers would scramble the explain() tree.
+  // Every other run is the shard plan's instance loop (an unsharded
+  // engine: one shard, run inline).
   const bool trace_nodes = telemetry != nullptr && telemetry->trace_nodes;
-  const bool sharded = shard_plan_.num_shards() > 1 && !trace_nodes;
-  r.shards_used = sharded ? shard_plan_.num_shards() : 1;
-  EvalCounters shard_counters;
+  r.shards_used = trace_nodes ? 1 : shard_plan_.num_shards();
+  EvalCounters counters;
   const auto t1 = Clock::now();
   {
     WFLOG_SPAN(eval_span, "query.eval");
     if (trace_nodes) {
       // explain()-grade detail: a span per operator node per instance.
+      const Evaluator ev(index_, options_.eval);
       const NodeTracer node_trace(telemetry->tracer, *r.executed);
       r.incidents = ev.evaluate(*r.executed, &node_trace, guard_ptr);
-    } else if (sharded) {
-      ShardEvalOptions sopts;
-      sopts.eval = options_.eval;
-      sopts.guard = guard_ptr;
-      sopts.pool = shard_pool_.get();
-      sopts.counters = telemetry != nullptr ? &shard_counters : nullptr;
-      r.incidents = evaluate_sharded(*r.executed, index_, shard_plan_, sopts);
+      counters = ev.counters();
     } else {
-      r.incidents = ev.evaluate(*r.executed, nullptr, guard_ptr);
+      r.incidents = evaluate_sharded(*r.executed, index_, shard_plan_,
+                                     shard_options(guard_ptr, &counters));
     }
     if (eval_span.active()) {
       eval_span.arg("incidents",
                     static_cast<std::uint64_t>(r.incidents.total()));
-      if (sharded) {
-        eval_span.arg("shards",
-                      static_cast<std::uint64_t>(shard_plan_.num_shards()));
+      if (r.shards_used > 1) {
+        eval_span.arg("shards", static_cast<std::uint64_t>(r.shards_used));
       }
     }
   }
@@ -207,13 +196,10 @@ QueryResult QueryEngine::run(PatternPtr pattern, JoinExprPtr where,
     telemetry->queries_total->inc();
     telemetry->query_optimize_seconds->observe(r.optimize_us * 1e-6);
     telemetry->query_eval_seconds->observe(r.eval_us * 1e-6);
-    if (sharded) telemetry->shard_eval_seconds->observe(r.eval_us * 1e-6);
-    // Serial runs accumulate in the per-run evaluator; sharded runs in
-    // the per-shard evaluators (folded into shard_counters). Exactly one
-    // of the two is nonzero.
-    EvalCounters delta = ev.counters();
-    delta += shard_counters;
-    fold_counters(telemetry, delta);
+    if (r.shards_used > 1) {
+      telemetry->shard_eval_seconds->observe(r.eval_us * 1e-6);
+    }
+    fold_counters(telemetry, counters);
   }
   return r;
 }
@@ -378,13 +364,8 @@ bool QueryEngine::exists(std::string_view query_text) const {
   ParsedQuery parsed = parse_query(query_text);
   if (parsed.where == nullptr) {
     WFLOG_TELEMETRY(t) { t->queries_total->inc(); }
-    if (shard_plan_.num_shards() > 1) {
-      ShardEvalOptions sopts;
-      sopts.eval = options_.eval;
-      sopts.pool = shard_pool_.get();
-      return exists_sharded(*parsed.pattern, index_, shard_plan_, sopts);
-    }
-    return Evaluator(index_, options_.eval).exists(*parsed.pattern);
+    return exists_sharded(*parsed.pattern, index_, shard_plan_,
+                          shard_options(nullptr, nullptr));
   }
   // where clauses need materialized incidents + binding derivation.
   return run(std::move(parsed.pattern), std::move(parsed.where)).any();
@@ -395,15 +376,20 @@ std::size_t QueryEngine::count(std::string_view query_text) const {
   ParsedQuery parsed = parse_query(query_text);
   if (parsed.where == nullptr) {
     WFLOG_TELEMETRY(t) { t->queries_total->inc(); }
-    if (shard_plan_.num_shards() > 1) {
-      ShardEvalOptions sopts;
-      sopts.eval = options_.eval;
-      sopts.pool = shard_pool_.get();
-      return count_sharded(*parsed.pattern, index_, shard_plan_, sopts);
-    }
-    return Evaluator(index_, options_.eval).count(*parsed.pattern);
+    return count_sharded(*parsed.pattern, index_, shard_plan_,
+                         shard_options(nullptr, nullptr));
   }
   return run(std::move(parsed.pattern), std::move(parsed.where)).total();
+}
+
+ShardEvalOptions QueryEngine::shard_options(const EvalGuard* guard,
+                                            EvalCounters* counters) const {
+  ShardEvalOptions sopts;
+  sopts.eval = options_.eval;
+  sopts.guard = guard;
+  sopts.pool = shard_pool_.get();
+  sopts.counters = counters;
+  return sopts;
 }
 
 }  // namespace wflog

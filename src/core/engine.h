@@ -189,7 +189,7 @@ class QueryEngine {
   const QueryOptions& options() const noexcept { return options_; }
 
   /// Effective shard count (QueryOptions::shards resolved against the
-  /// log's instance count); 1 = the serial evaluator.
+  /// log's instance count); 1 = one shard, run inline.
   std::size_t shards() const noexcept { return shard_plan_.num_shards(); }
   const ShardPlan& shard_plan() const noexcept { return shard_plan_; }
   /// The engine's persistent shard pool, or null when unsharded.
@@ -200,14 +200,18 @@ class QueryEngine {
   QueryOptions options_;
   LogIndex index_;
   CostModel cost_model_;
-  // Each run() / exists() / count() evaluates with a per-call Evaluator
-  // (cheap: it only borrows index_) so concurrent callers never share its
-  // mutable work counters. A long-lived member here is a data race.
   // Scatter/gather state, built once per engine: the wid partition of
   // this log and the worker pool every sharded query reuses (one thread
-  // fewer than shards — the calling thread participates).
+  // fewer than shards — the calling thread participates; an unsharded
+  // engine is one shard run inline, with no pool). Every run() / exists()
+  // / count() evaluates through it, with per-shard Evaluators, so
+  // concurrent callers never share mutable work counters.
   ShardPlan shard_plan_;
   std::unique_ptr<ShardPool> shard_pool_;
+
+  /// The engine's shard scatter options for one call.
+  ShardEvalOptions shard_options(const EvalGuard* guard,
+                                 EvalCounters* counters) const;
 };
 
 }  // namespace wflog

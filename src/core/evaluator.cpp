@@ -285,7 +285,7 @@ IncidentSet Evaluator::evaluate(const Pattern& p, const NodeTracer* trace,
 }
 
 bool Evaluator::exists(const Pattern& p) const {
-  if (opts_.use_linear_fast_path && opts_.max_span == 0) {
+  if (opts_.max_span == 0) {
     if (const auto chain = as_linear_chain(p)) {
       return exists_linear(*chain, *index_);
     }
@@ -298,7 +298,7 @@ bool Evaluator::exists(const Pattern& p) const {
 }
 
 std::size_t Evaluator::count(const Pattern& p) const {
-  if (opts_.use_linear_fast_path && opts_.max_span == 0) {
+  if (opts_.max_span == 0) {
     if (const auto chain = as_linear_chain(p)) {
       return count_linear(*chain, *index_);
     }

@@ -34,11 +34,6 @@ struct EvalOptions {
   /// faithful default is true; analysts usually want false.
   bool negation_matches_sentinels = true;
 
-  /// Answer count()/exists() for linear patterns (⊙/≫ chains of positive
-  /// atoms) with the DP of core/linear.h instead of materializing
-  /// incidents. Identical answers, often asymptotically faster.
-  bool use_linear_fast_path = true;
-
   /// CEP-style span window: keep only incidents whose records all fall
   /// within `max_span` consecutive positions (last - first < max_span).
   /// 0 disables. Because merging records can only widen an incident's
@@ -217,9 +212,12 @@ class Evaluator {
 
   /// True iff inc_L(p) is nonempty. Stops at the first instance with a
   /// match — the cheap mode for "are there any ...?" questions.
+  /// Linear patterns (⊙/≫ chains of positive atoms) with no max_span are
+  /// answered by the DP of core/linear.h, without materializing incidents;
+  /// evaluate(p) is the materializing reference for both entry points.
   bool exists(const Pattern& p) const;
 
-  /// |inc_L(p)|.
+  /// |inc_L(p)| (linear fast path as for exists()).
   std::size_t count(const Pattern& p) const;
 
   const LogIndex& index() const noexcept { return *index_; }

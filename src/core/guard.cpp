@@ -20,8 +20,15 @@ EvalGuard::EvalGuard(std::chrono::milliseconds deadline,
                      std::size_t max_incidents, CancelToken cancel)
     : max_incidents_(max_incidents), cancel_(std::move(cancel)) {
   if (deadline.count() > 0) {
-    deadline_ = std::chrono::steady_clock::now() + deadline;
-    has_deadline_ = true;
+    using std::chrono::steady_clock;
+    const steady_clock::time_point now = steady_clock::now();
+    // A deadline past the end of the clock's range never expires, and
+    // adding it to `now` would overflow the time_point.
+    if (deadline < std::chrono::duration_cast<std::chrono::milliseconds>(
+                       steady_clock::time_point::max() - now)) {
+      deadline_ = now + deadline;
+      has_deadline_ = true;
+    }
   }
 }
 

@@ -43,8 +43,9 @@ const char* stop_reason_name(StopReason r) noexcept;
 
 class EvalGuard {
  public:
-  /// deadline <= 0 disables the clock; max_incidents == 0 disables the
-  /// budget; a null token disables cancellation.
+  /// deadline <= 0 disables the clock (and so does one too far out for
+  /// steady_clock to represent); max_incidents == 0 disables the budget; a
+  /// null token disables cancellation.
   EvalGuard(std::chrono::milliseconds deadline, std::size_t max_incidents,
             CancelToken cancel);
 

@@ -125,6 +125,12 @@ IncidentSet merge_shards(std::size_t num_instances,
   return merged;
 }
 
+void count_shard_cancelled(std::size_t num_shards) {
+  if (num_shards > 1) {
+    WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
+  }
+}
+
 void scatter_shards(std::size_t num_shards, ShardPool* pool,
                     const std::vector<std::size_t>* completion_order,
                     const std::function<void(std::size_t)>& task) {
@@ -157,8 +163,8 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
     for (std::size_t j = 0; j < shard.wids.size(); ++j) {
       if (options.guard != nullptr && options.guard->stopped()) {
         // A sibling (or this shard's own budget) tripped the shared
-        // guard: early-cancel, exactly like the unsharded instance loop.
-        WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
+        // guard: early-cancel, like Evaluator::evaluate's instance loop.
+        count_shard_cancelled(plan.num_shards());
         break;
       }
       IncidentList list = ev.evaluate_instance(
@@ -187,10 +193,8 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
 std::size_t count_sharded(const Pattern& p, const LogIndex& index,
                           const ShardPlan& plan,
                           const ShardEvalOptions& options) {
-  const auto chain = options.eval.use_linear_fast_path &&
-                             options.eval.max_span == 0
-                         ? as_linear_chain(p)
-                         : std::nullopt;
+  const auto chain =
+      options.eval.max_span == 0 ? as_linear_chain(p) : std::nullopt;
   std::vector<std::size_t> per_shard(plan.num_shards(), 0);
   const EvalPlan eval_plan(p, index.log());
   const auto shard_task = [&](std::size_t s) {
@@ -221,10 +225,8 @@ std::size_t count_sharded(const Pattern& p, const LogIndex& index,
 bool exists_sharded(const Pattern& p, const LogIndex& index,
                     const ShardPlan& plan,
                     const ShardEvalOptions& options) {
-  const auto chain = options.eval.use_linear_fast_path &&
-                             options.eval.max_span == 0
-                         ? as_linear_chain(p)
-                         : std::nullopt;
+  const auto chain =
+      options.eval.max_span == 0 ? as_linear_chain(p) : std::nullopt;
   std::atomic<bool> found{false};
   const EvalPlan eval_plan(p, index.log());
   const auto shard_task = [&](std::size_t s) {

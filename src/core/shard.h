@@ -184,6 +184,10 @@ void scatter_shards(std::size_t num_shards, ShardPool* pool,
                     const std::vector<std::size_t>* completion_order,
                     const std::function<void(std::size_t)>& task);
 
+/// Counts one shard task early-cancelled by its guard — in telemetry only
+/// for a scatter over more than one shard, like scatter_shards.
+void count_shard_cancelled(std::size_t num_shards);
+
 struct ShardEvalOptions {
   EvalOptions eval;
   /// Shared guard; a trip in any shard early-cancels the siblings at
@@ -198,8 +202,8 @@ struct ShardEvalOptions {
   /// permutation of [0, plan.num_shards()).
   const std::vector<std::size_t>* completion_order = nullptr;
   /// When non-null, the per-shard evaluators' work tallies are summed into
-  /// it (after the gather) — how the engine folds sharded work into
-  /// telemetry exactly as it does for its own serial evaluator.
+  /// it (after the gather) — how the engine folds a run's work into
+  /// telemetry.
   EvalCounters* counters = nullptr;
 };
 

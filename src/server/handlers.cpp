@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -70,14 +72,20 @@ NamedAttrs to_named_attrs(const JsonValue* obj) {
   return attrs;
 }
 
-/// Renders one QueryResult as the /query (and /batch slot) shape. `limit`
-/// caps rendered incidents (the response size), never the evaluation —
-/// "total" always reports the full count.
-JsonValue render_result(const QueryResult& r, std::size_t limit) {
-  JsonValue out;
+// One QueryResult renders in three pieces: the head (echo texts and the
+// answer summary), one object per instance group, and the tail (how much
+// was rendered, timings). A buffered /query body or /batch slot is all
+// three in one object; a streamed /query sends the same fields as NDJSON
+// chunks — head, each group, tail. `limit` caps rendered incidents (the
+// response size), never the evaluation: "total" always reports the full
+// count.
+
+/// Appends the head: "error" alone for an error slot, else the answer
+/// summary.
+void render_head(JsonValue& out, const QueryResult& r) {
   if (!r.ok()) {
     out.set("error", r.error);
-    return out;
+    return;
   }
   out.set("pattern", r.parsed != nullptr ? to_text(*r.parsed) : "");
   out.set("optimized", r.executed != nullptr ? to_text(*r.executed) : "");
@@ -85,8 +93,14 @@ JsonValue render_result(const QueryResult& r, std::size_t limit) {
   out.set("total", r.total());
   out.set("complete", r.complete());
   out.set("stop_reason", std::string(stop_reason_name(r.stop_reason)));
+}
 
-  JsonArray groups;
+/// Renders r's groups in order while fewer than `limit` incidents are
+/// rendered, handing each to `emit` (which returns false to stop early).
+/// Returns the number of incidents rendered.
+template <typename Emit>
+std::size_t render_groups(const QueryResult& r, std::size_t limit,
+                          Emit&& emit) {
   std::size_t rendered = 0;
   for (const IncidentSet::Group& g : r.incidents.groups()) {
     if (rendered >= limit) break;
@@ -103,28 +117,68 @@ JsonValue render_result(const QueryResult& r, std::size_t limit) {
     JsonValue group;
     group.set("wid", static_cast<std::int64_t>(g.wid));
     group.set("incidents", std::move(incidents));
-    groups.emplace_back(std::move(group));
+    if (!emit(std::move(group))) break;
   }
-  out.set("incidents", std::move(groups));
+  return rendered;
+}
+
+/// Appends the tail.
+void render_tail(JsonValue& out, const QueryResult& r, std::size_t rendered) {
   out.set("rendered", rendered);
   out.set("render_truncated", rendered < r.total());
-
   JsonValue timings;
   timings.set("parse_us", r.parse_us);
   timings.set("optimize_us", r.optimize_us);
   timings.set("eval_us", r.eval_us);
   out.set("timings", std::move(timings));
-  return out;
+}
+
+/// Appends the buffered rest of an ok result after its head: every
+/// rendered group under "incidents", then the tail.
+void render_body(JsonValue& out, const QueryResult& r, std::size_t limit) {
+  JsonArray groups;
+  const std::size_t rendered =
+      render_groups(r, limit, [&groups](JsonValue group) {
+        groups.emplace_back(std::move(group));
+        return true;
+      });
+  out.set("incidents", std::move(groups));
+  render_tail(out, r, rendered);
+}
+
+/// Strict integer read of a client-supplied JSON number: an integer, or a
+/// double with no fractional part inside int64's range (1e3 is 1000).
+/// Nullopt for anything else — never a truncation (-0.5 is not 0) and
+/// never an out-of-range float-to-int cast (1e300).
+std::optional<std::int64_t> exact_int(const JsonValue& v) {
+  if (v.kind() == JsonValue::Kind::kInt) return v.as_int();
+  if (v.kind() != JsonValue::Kind::kDouble) return std::nullopt;
+  const double d = v.as_double();
+  // [-2^63, 2^63): both bounds are exact doubles, and NaN fails both.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(d >= -kTwo63 && d < kTwo63) || d != std::trunc(d)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(d);
+}
+
+/// body[key] as a non-negative integer; nullopt when absent or null.
+std::optional<std::int64_t> read_nonneg(const JsonValue& body,
+                                        std::string_view key) {
+  const JsonValue* v = body.find(key);
+  if (v == nullptr || v->is_null()) return std::nullopt;
+  const std::optional<std::int64_t> n = exact_int(*v);
+  if (!n.has_value() || *n < 0) {
+    throw Error("\"" + std::string(key) +
+                "\" must be a non-negative integer");
+  }
+  return n;
 }
 
 std::size_t read_size(const JsonValue& body, std::string_view key,
                       std::size_t fallback) {
-  const JsonValue* v = body.find(key);
-  if (v == nullptr || v->is_null()) return fallback;
-  if (!v->is_number() || v->as_int() < 0) {
-    throw Error("\"" + std::string(key) + "\" must be a non-negative number");
-  }
-  return static_cast<std::size_t>(v->as_int());
+  const std::optional<std::int64_t> n = read_nonneg(body, key);
+  return n.has_value() ? static_cast<std::size_t>(*n) : fallback;
 }
 
 /// Per-request cache opt-out: "Cache-Control: no-cache" skips the lookup
@@ -211,15 +265,11 @@ QueryService::QueryService(std::optional<Log> initial, ServiceOptions options,
         options_.on_health_transition);
   }
 
-  // Initial snapshot straight from the given log (no revalidation).
-  auto state = std::make_shared<State>();
-  state->version = version_seq_;
-  if (initial.has_value() && initial->size() > 0) {
-    state->log = std::move(initial);
-    state->engine =
-        std::make_unique<QueryEngine>(*state->log, options_.engine);
-  }
-  state_ = std::move(state);
+  // Initial snapshot straight from the given log (no revalidation); an
+  // empty service serves an empty log through the same engine.
+  state_ = std::make_shared<const State>(
+      std::move(initial).value_or(Log::from_records_unchecked({}, {})),
+      options_.engine, version_seq_);
 }
 
 MonitorOptions QueryService::monitor_options() {
@@ -375,7 +425,7 @@ void QueryService::route_matches(const std::vector<LogMonitor::Match>& raw,
     std::vector<const Incident*> delta;  // where-passing, for cache repair
     std::uint64_t raw_count = 0;
     if (const auto it = by_query.find(sub->monitor_id);
-        it != by_query.end() && st->engine != nullptr) {
+        it != by_query.end()) {
       raw_count = it->second.size();
       events.reserve(it->second.size());
       for (const Incident* o : it->second) {
@@ -453,7 +503,6 @@ void QueryService::reattach_subscriptions() {
     }
     std::vector<std::string> events;
     for (std::size_t i = seen; i < raw.size(); ++i) {
-      if (st->engine == nullptr) break;
       std::string json = render_sub_event(sub->parsed, raw[i].incident,
                                           st->engine->index());
       if (!json.empty()) events.push_back(std::move(json));
@@ -469,33 +518,23 @@ std::shared_ptr<const QueryService::State> QueryService::state() const {
   return state_;
 }
 
-std::size_t QueryService::num_records() const {
-  const auto st = state();
-  return st->log.has_value() ? st->log->size() : 0;
-}
+std::size_t QueryService::num_records() const { return state()->log.size(); }
 
 void QueryService::rebuild_state() {
-  auto fresh = std::make_shared<State>();
-  fresh->version = ++version_seq_;
-  if (monitor_.num_records() > 0) {
-    fresh->log = monitor_.snapshot();
-    fresh->engine =
-        std::make_unique<QueryEngine>(*fresh->log, options_.engine);
-  }
+  // Log::from_records rejects an empty record set (Definition 2), so a
+  // monitor with nothing retained publishes the empty log unvalidated.
+  auto fresh = std::make_shared<const State>(
+      monitor_.num_records() > 0 ? monitor_.snapshot()
+                                 : Log::from_records_unchecked({}, {}),
+      options_.engine, ++version_seq_);
   std::lock_guard lock(state_mu_);
   state_ = std::move(fresh);
 }
 
 RunLimits QueryService::limits_from(const JsonValue& body) const {
   RunLimits limits;
-  std::int64_t deadline_ms = options_.default_deadline_ms;
-  const JsonValue* d = body.find("deadline_ms");
-  if (d != nullptr && !d->is_null()) {
-    if (!d->is_number() || d->as_int() < 0) {
-      throw Error("\"deadline_ms\" must be a non-negative number");
-    }
-    deadline_ms = d->as_int();
-  }
+  std::int64_t deadline_ms =
+      read_nonneg(body, "deadline_ms").value_or(options_.default_deadline_ms);
   // The cap binds even "unlimited" (0) requests: a server with a
   // max_deadline_ms never runs an unbounded query.
   if (options_.max_deadline_ms > 0 &&
@@ -597,10 +636,10 @@ HttpResponse QueryService::handle_query(const HttpRequest& req,
 
   const auto st = state();
   try {
-    // Parse-first, on both the cached and uncached path: the observability
-    // layer attributes the request to its canonical pattern key, and
-    // run(pattern, where) produces the same result run(text) would (the
-    // text overload is parse + this call).
+    // Parse-first: the observability layer attributes the request to its
+    // canonical pattern key, the cache keys on it, and run(pattern, where)
+    // produces the same result run(text) would (the text overload is parse
+    // + this call).
     const auto tq0 = Clock::now();
     Query parsed = Query::parse(query_text);
     const double query_parse_us = us_since(tq0);
@@ -608,132 +647,33 @@ HttpResponse QueryService::handle_query(const HttpRequest& req,
     ctx.canonical_key = canonical_key(*parsed.pattern);
     ctx.parse_us = us_since(t0);
 
-    if (st->engine == nullptr) {
-      // Empty log: the query was already validated above.
-      JsonValue out;
-      out.set("query", query_text);
-      out.set("instances", 0);
-      out.set("total", 0);
-      out.set("complete", true);
-      out.set("stop_reason", std::string(stop_reason_name(StopReason::kNone)));
-      out.set("incidents", JsonArray{});
-      ctx.stop_reason = stop_reason_name(StopReason::kNone);
-      const auto ts0 = Clock::now();
-      if (stream_requested) {
-        HttpResponse resp;
-        resp.content_type = "application/x-ndjson";
-        std::string line = out.dump() + "\n";
-        resp.streamer = [line = std::move(line)](ChunkedWriter& w) {
-          w.write_chunk(line);
-        };
-        ctx.serialize_us = us_since(ts0);
-        return resp;
-      }
-      HttpResponse resp = HttpResponse::json(200, out.dump());
-      ctx.serialize_us = us_since(ts0);
-      return resp;
-    }
+    // Cache off is a cache that never hits: no lookup, no insert.
     const bool cache_on = cache_ != nullptr && cache_->enabled();
+    std::string key;
     std::shared_ptr<const QueryResult> result;
-    bool cache_hit = false;
     if (cache_on) {
       const auto tc0 = Clock::now();
-      const std::string key = ResultCache::key(parsed, st->version);
-      if (!no_cache_requested(req)) {
-        result = cache_->lookup(key, limits);
-        cache_hit = result != nullptr;
-      }
+      key = ResultCache::key(parsed, st->version);
+      if (!no_cache_requested(req)) result = cache_->lookup(key, limits);
       ctx.cache_us += us_since(tc0);
-      if (result == nullptr) {
-        const auto te0 = Clock::now();
-        auto fresh = std::make_shared<QueryResult>(
-            st->engine->run(parsed.pattern, parsed.where, limits));
-        ctx.eval_us = us_since(te0);
-        ctx.shards = fresh->shards_used;
-        fresh->parse_us = query_parse_us;
-        const auto ti0 = Clock::now();
-        cache_->insert(key, fresh, limits);
-        ctx.cache_us += us_since(ti0);
-        result = std::move(fresh);
-      }
-      ctx.cache = cache_hit ? 1 : 0;
-    } else {
+    }
+    const bool cache_hit = result != nullptr;
+    if (!cache_hit) {
       const auto te0 = Clock::now();
       auto fresh = std::make_shared<QueryResult>(
           st->engine->run(parsed.pattern, parsed.where, limits));
       ctx.eval_us = us_since(te0);
       ctx.shards = fresh->shards_used;
       fresh->parse_us = query_parse_us;
+      if (cache_on) {
+        const auto ti0 = Clock::now();
+        cache_->insert(key, fresh, limits);
+        ctx.cache_us += us_since(ti0);
+      }
       result = std::move(fresh);
     }
-    if (stream_requested && result->ok()) {
-      const auto ts0 = Clock::now();
-      ctx.stop_reason = stop_reason_name(result->stop_reason);
-      ctx.plan =
-          result->executed != nullptr ? to_text(*result->executed) : "";
-      // Same spelling guarantee reecho_pattern_texts gives the buffered
-      // path: echo THIS request's text, not the cache populator's.
-      std::string pattern_text =
-          result->parsed != nullptr ? to_text(*result->parsed) : "";
-      std::string optimized_text = ctx.plan;
-      if (cache_hit && pattern_text != to_text(*parsed.pattern)) {
-        pattern_text = to_text(*parsed.pattern);
-        PatternPtr executed = parsed.pattern;
-        if (st->engine->options().optimize) {
-          executed = optimize(parsed.pattern, st->engine->cost_model(),
-                              st->engine->options().optimizer)
-                         .pattern;
-        }
-        optimized_text = to_text(*executed);
-      }
-      HttpResponse resp;
-      resp.content_type = "application/x-ndjson";
-      if (cache_on) set_cache_header(resp, cache_hit);
-      resp.streamer = [result, query_text, pattern_text, optimized_text,
-                       render_limit](ChunkedWriter& w) {
-        // One chunk for the header, one per instance group, one summary —
-        // a huge incident set never materializes as a single buffer.
-        JsonValue head;
-        head.set("query", query_text);
-        head.set("pattern", pattern_text);
-        head.set("optimized", optimized_text);
-        head.set("instances", result->incidents.groups().size());
-        head.set("total", result->total());
-        head.set("complete", result->complete());
-        head.set("stop_reason",
-                 std::string(stop_reason_name(result->stop_reason)));
-        if (!w.write_chunk(head.dump() + "\n")) return;
-        std::size_t rendered = 0;
-        for (const IncidentSet::Group& g : result->incidents.groups()) {
-          if (rendered >= render_limit || w.failed()) break;
-          JsonArray incidents;
-          for (const Incident& o : g.incidents) {
-            if (rendered >= render_limit) break;
-            JsonArray positions;
-            for (const IsLsn n : o.positions()) {
-              positions.emplace_back(static_cast<std::int64_t>(n));
-            }
-            incidents.emplace_back(std::move(positions));
-            ++rendered;
-          }
-          JsonValue group;
-          group.set("wid", static_cast<std::int64_t>(g.wid));
-          group.set("incidents", std::move(incidents));
-          if (!w.write_chunk(group.dump() + "\n")) return;
-        }
-        JsonValue tail;
-        tail.set("rendered", rendered);
-        tail.set("render_truncated", rendered < result->total());
-        JsonValue timings;
-        timings.set("parse_us", result->parse_us);
-        timings.set("optimize_us", result->optimize_us);
-        timings.set("eval_us", result->eval_us);
-        tail.set("timings", std::move(timings));
-        w.write_chunk(tail.dump() + "\n");
-      };
-      ctx.serialize_us = us_since(ts0);
-      return resp;
-    }
+    if (cache_on) ctx.cache = cache_hit ? 1 : 0;
+
     // Plan rendering for the slow capture counts as serialization work,
     // and so does tearing down the rendered JSON tree and (when the
     // cache didn't take ownership) the result itself — both scale with
@@ -746,14 +686,27 @@ HttpResponse QueryService::handle_query(const HttpRequest& req,
     {
       JsonValue out;
       out.set("query", query_text);
-      JsonValue rendered = render_result(*result, render_limit);
-      if (cache_hit) {
-        reecho_pattern_texts(rendered, parsed, *st->engine, *result);
+      render_head(out, *result);
+      if (cache_hit) reecho_pattern_texts(out, parsed, *st->engine, *result);
+      if (stream_requested && result->ok()) {
+        // The head, one chunk per instance group, then the tail — a huge
+        // incident set never materializes as a single buffer.
+        resp.content_type = "application/x-ndjson";
+        resp.streamer = [result, head = out.dump() + "\n",
+                         render_limit](ChunkedWriter& w) {
+          if (!w.write_chunk(head)) return;
+          const std::size_t rendered =
+              render_groups(*result, render_limit, [&w](JsonValue group) {
+                return w.write_chunk(group.dump() + "\n");
+              });
+          JsonValue tail;
+          render_tail(tail, *result, rendered);
+          w.write_chunk(tail.dump() + "\n");
+        };
+      } else {
+        if (result->ok()) render_body(out, *result, render_limit);
+        resp = HttpResponse::json(200, out.dump());
       }
-      for (auto& [k, v] : rendered.members()) {
-        out.set(k, std::move(v));
-      }
-      resp = HttpResponse::json(200, out.dump());
     }
     result.reset();
     if (cache_on) set_cache_header(resp, cache_hit);
@@ -782,17 +735,6 @@ std::string batch_query_label(const std::vector<std::string>& texts) {
     label += t;
   }
   return label;
-}
-
-/// First non-clean stop reason across the batch (the shared guard trips
-/// for every slot at once, so "first" is representative).
-const char* batch_stop_reason(const std::vector<QueryResult>& results) {
-  for (const QueryResult& r : results) {
-    if (r.ok() && r.stop_reason != StopReason::kNone) {
-      return stop_reason_name(r.stop_reason);
-    }
-  }
-  return stop_reason_name(StopReason::kNone);
 }
 
 }  // namespace
@@ -825,64 +767,13 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   ctx.parse_us = us_since(t0);
   ctx.query = batch_query_label(texts);
 
+  // One flow for both cache modes: each text is parsed once, and its slot
+  // is a cache hit, a parse error, or a miss; the misses go through ONE
+  // run_batch call so intra-batch canonical sharing is preserved among
+  // them. Cache off is a cache that never hits.
   const auto st = state();
-  JsonValue out;
-  JsonArray results;
-  if (st->engine == nullptr) {
-    // Empty log: every query parses (for its error slot) over no data.
-    for (const std::string& text : texts) {
-      JsonValue slot;
-      try {
-        Query::parse(text);
-        slot.set("total", 0);
-        slot.set("complete", true);
-        slot.set("incidents", JsonArray{});
-      } catch (const std::exception& e) {
-        slot.set("error", std::string(e.what()));
-      }
-      results.emplace_back(std::move(slot));
-    }
-    out.set("results", std::move(results));
-    return HttpResponse::json(200, out.dump());
-  }
-
   const bool cache_on = cache_ != nullptr && cache_->enabled();
-  if (!cache_on) {
-    const auto te0 = Clock::now();
-    const BatchResult batch =
-        st->engine->run_batch(texts, /*threads (ignored)=*/1,
-                              /*use_cache=*/true, limits);
-    ctx.eval_us = us_since(te0);
-    ctx.shards = st->engine->shards();
-    ctx.stop_reason = batch_stop_reason(batch.results);
-    const auto ts0 = Clock::now();
-    for (const QueryResult& r : batch.results) {
-      results.emplace_back(render_result(r, render_limit));
-    }
-    out.set("results", std::move(results));
-
-    JsonValue stats;
-    stats.set("queries", batch.stats.plan.num_queries);
-    stats.set("total_nodes", batch.stats.plan.total_nodes);
-    stats.set("distinct_slots", batch.stats.plan.distinct_slots);
-    stats.set("shared_nodes", batch.stats.plan.shared_nodes());
-    stats.set("cache_hits", static_cast<std::int64_t>(batch.cache_hits()));
-    stats.set("cache_misses",
-              static_cast<std::int64_t>(batch.cache_misses()));
-    stats.set("threads_used", batch.stats.threads_used);
-    stats.set("eval_us", batch.eval_us);
-    out.set("stats", std::move(stats));
-    HttpResponse resp = HttpResponse::json(200, out.dump());
-    ctx.serialize_us = us_since(ts0);
-    return resp;
-  }
-
-  // Cached path: serve each slot from the cache when possible; the misses
-  // still go through ONE run_batch call so intra-batch canonical sharing
-  // is preserved among them. Slot rendering is identical to the uncached
-  // path (render_result), so answers are bit-identical either way; only
-  // the "stats" block shrinks to describe the pass that actually ran.
-  const bool bypass = no_cache_requested(req);
+  const bool lookups = cache_on && !no_cache_requested(req);
   std::vector<std::shared_ptr<const QueryResult>> slots(texts.size());
   std::vector<std::string> keys(texts.size());
   std::vector<std::optional<Query>> hit_query(texts.size());
@@ -891,26 +782,36 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   std::size_t served_hits = 0;
   const auto tc0 = Clock::now();
   for (std::size_t i = 0; i < texts.size(); ++i) {
+    Query q;
     try {
-      Query q = Query::parse(texts[i]);
-      keys[i] = ResultCache::key(q, st->version);
-      if (!bypass) slots[i] = cache_->lookup(keys[i], limits);
-      if (slots[i] != nullptr) {
-        ++served_hits;
-        hit_query[i] = std::move(q);
-      } else {
-        miss_index.push_back(i);
-        miss_queries.push_back(std::move(q));
-      }
+      q = Query::parse(texts[i]);
     } catch (const std::exception& e) {
-      // Same error-slot isolation (and message) the text overload of
-      // run_batch produces; parse failures are never cached.
+      // The error slot (and message) run_batch's text overload produces;
+      // parse failures are never cached. With the cache off the slot still
+      // rides in the batch as an empty query, so "stats.queries" counts
+      // it, as it always has in that mode.
       auto err = std::make_shared<QueryResult>();
       err->error = e.what();
       slots[i] = std::move(err);
+      if (!cache_on) {
+        miss_index.push_back(i);
+        miss_queries.emplace_back();
+      }
+      continue;
     }
+    if (cache_on) {
+      keys[i] = ResultCache::key(q, st->version);
+      if (lookups) slots[i] = cache_->lookup(keys[i], limits);
+      if (slots[i] != nullptr) {
+        ++served_hits;
+        hit_query[i] = std::move(q);
+        continue;
+      }
+    }
+    miss_index.push_back(i);
+    miss_queries.push_back(std::move(q));
   }
-  ctx.cache_us += us_since(tc0);
+  if (cache_on) ctx.cache_us += us_since(tc0);
 
   BatchResult batch;
   if (!miss_queries.empty()) {
@@ -922,32 +823,37 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
     ctx.shards = st->engine->shards();
     const auto ti0 = Clock::now();
     for (std::size_t j = 0; j < miss_index.size(); ++j) {
+      std::shared_ptr<const QueryResult>& slot = slots[miss_index[j]];
+      if (slot != nullptr) continue;  // a parse error riding along
       auto r = std::make_shared<QueryResult>(std::move(batch.results[j]));
-      cache_->insert(keys[miss_index[j]], r, limits);
-      slots[miss_index[j]] = std::move(r);
+      if (cache_on) cache_->insert(keys[miss_index[j]], r, limits);
+      slot = std::move(r);
     }
-    ctx.cache_us += us_since(ti0);
+    if (cache_on) ctx.cache_us += us_since(ti0);
   }
-  ctx.cache = served_hits == texts.size() ? 1 : 0;
+  if (cache_on) ctx.cache = served_hits == texts.size() ? 1 : 0;
+  // First non-clean stop reason across the batch (the shared guard trips
+  // for every slot at once, so "first" is representative).
+  ctx.stop_reason = stop_reason_name(StopReason::kNone);
   for (const auto& slot : slots) {
-    if (slot != nullptr && slot->ok() &&
-        slot->stop_reason != StopReason::kNone) {
+    if (slot->ok() && slot->stop_reason != StopReason::kNone) {
       ctx.stop_reason = stop_reason_name(slot->stop_reason);
       break;
     }
   }
-  if (ctx.stop_reason.empty()) {
-    ctx.stop_reason = stop_reason_name(StopReason::kNone);
-  }
 
   const auto ts0 = Clock::now();
+  JsonArray results;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    JsonValue rendered = render_result(*slots[i], render_limit);
+    JsonValue slot;
+    render_head(slot, *slots[i]);
     if (hit_query[i].has_value()) {
-      reecho_pattern_texts(rendered, *hit_query[i], *st->engine, *slots[i]);
+      reecho_pattern_texts(slot, *hit_query[i], *st->engine, *slots[i]);
     }
-    results.emplace_back(std::move(rendered));
+    if (slots[i]->ok()) render_body(slot, *slots[i], render_limit);
+    results.emplace_back(std::move(slot));
   }
+  JsonValue out;
   out.set("results", std::move(results));
 
   JsonValue stats;
@@ -960,11 +866,13 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
             static_cast<std::int64_t>(batch.cache_misses()));
   stats.set("threads_used", batch.stats.threads_used);
   stats.set("eval_us", batch.eval_us);
-  stats.set("result_cache_hits", served_hits);
-  stats.set("result_cache_misses", miss_index.size());
+  if (cache_on) {
+    stats.set("result_cache_hits", served_hits);
+    stats.set("result_cache_misses", miss_index.size());
+  }
   out.set("stats", std::move(stats));
   HttpResponse resp = HttpResponse::json(200, out.dump());
-  set_cache_header(resp, served_hits == texts.size());
+  if (cache_on) set_cache_header(resp, served_hits == texts.size());
   ctx.serialize_us = us_since(ts0);
   return resp;
 }
@@ -1052,10 +960,12 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
       }
 
       const JsonValue* wid_v = ev.find("wid");
-      if (wid_v == nullptr || !wid_v->is_number() || wid_v->as_int() <= 0) {
-        throw Error("\"" + kind + "\" event needs a positive \"wid\"");
+      const std::optional<std::int64_t> wid_n =
+          wid_v != nullptr ? exact_int(*wid_v) : std::nullopt;
+      if (!wid_n.has_value() || *wid_n <= 0) {
+        throw Error("\"" + kind + "\" event needs a positive integer \"wid\"");
       }
-      const Wid wid = static_cast<Wid>(wid_v->as_int());
+      const Wid wid = static_cast<Wid>(*wid_n);
 
       if (kind == "record") {
         const JsonValue* act = ev.find("activity");
@@ -1211,12 +1121,10 @@ HttpResponse QueryService::handle_subscribe(const HttpRequest& req,
   const auto st = state();
   std::vector<std::string> events;
   events.reserve(raw.size());
-  if (st->engine != nullptr) {
-    for (const LogMonitor::Match& m : raw) {
-      std::string json =
-          render_sub_event(parsed, m.incident, st->engine->index());
-      if (!json.empty()) events.push_back(std::move(json));
-    }
+  for (const LogMonitor::Match& m : raw) {
+    std::string json =
+        render_sub_event(parsed, m.incident, st->engine->index());
+    if (!json.empty()) events.push_back(std::move(json));
   }
   const std::size_t matched = events.size();
   auto sub =
@@ -1403,9 +1311,8 @@ HttpResponse QueryService::handle_metrics(const HttpRequest&) const {
 HttpResponse QueryService::handle_stats(const HttpRequest&) const {
   JsonValue out;
   const auto st = state();
-  out.set("records", st->log.has_value() ? st->log->size() : 0);
-  out.set("instances",
-          st->log.has_value() ? st->log->wids().size() : 0);
+  out.set("records", st->log.size());
+  out.set("instances", st->log.wids().size());
   out.set("ingest_enabled", ingest_enabled_.load());
   out.set("ingest_disabled_reason", ingest_disabled_reason());
   out.set("snapshot_version", static_cast<std::int64_t>(st->version));
@@ -1432,14 +1339,11 @@ HttpResponse QueryService::handle_stats(const HttpRequest&) const {
     JsonValue sh;
     sh.set("configured",
            static_cast<std::int64_t>(options_.engine.shards));
-    sh.set("effective",
-           static_cast<std::int64_t>(
-               st->engine != nullptr ? st->engine->shards() : 0));
+    sh.set("effective", static_cast<std::int64_t>(st->engine->shards()));
     sh.set("pool_workers",
-           static_cast<std::int64_t>(
-               st->engine != nullptr && st->engine->shard_pool() != nullptr
-                   ? st->engine->shard_pool()->workers()
-                   : 0));
+           static_cast<std::int64_t>(st->engine->shard_pool() != nullptr
+                                         ? st->engine->shard_pool()->workers()
+                                         : 0));
     WFLOG_TELEMETRY(t) {
       sh.set("evals", static_cast<std::int64_t>(t->shard_evals_total->value()));
       sh.set("tasks", static_cast<std::int64_t>(t->shard_tasks_total->value()));
@@ -1545,7 +1449,7 @@ HttpResponse QueryService::handle_healthz(const HttpRequest& req) const {
   out.set("ready", !draining);
   out.set("draining", draining);
   out.set("snapshot_version", static_cast<std::int64_t>(st->version));
-  out.set("records", st->log.has_value() ? st->log->size() : 0);
+  out.set("records", st->log.size());
   out.set("queue_depth",
           server_ != nullptr
               ? JsonValue(static_cast<std::int64_t>(

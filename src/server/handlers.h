@@ -65,8 +65,9 @@ struct ServiceOptions {
   /// good events and report the bad ones in the response.
   BadEventPolicy bad_event_policy = BadEventPolicy::kReject;
   /// Byte budget of the cross-request result cache (server/cache.h).
-  /// 0 = caching off: /query and /batch behave exactly as before and no
-  /// X-Wfq-Cache header is emitted. wfqd enables it by default
+  /// 0 = caching off: /query and /batch run their one flow against a cache
+  /// that never hits, and send no X-Wfq-Cache header and no
+  /// result_cache_* batch stats. wfqd enables it by default
   /// (--cache-mb / --cache-off).
   std::size_t cache_bytes = 0;
   /// Shards of the result cache (contention knob; clamped to >= 1).
@@ -139,14 +140,20 @@ class QueryService {
  private:
   /// An immutable snapshot queries run against; replaced wholesale by
   /// ingest. `log` is owned here so `engine` (which borrows it) can never
-  /// dangle while a request holds the shared_ptr.
+  /// dangle while a request holds the shared_ptr. Always complete: an
+  /// empty service holds an empty log and an engine over it.
   struct State {
-    std::optional<Log> log;               // nullopt = empty log
-    std::unique_ptr<QueryEngine> engine;  // null iff log is empty
+    State(Log snapshot, const QueryOptions& options, std::uint64_t v)
+        : log(std::move(snapshot)),
+          engine(std::make_unique<QueryEngine>(log, options)),
+          version(v) {}
+
+    Log log;
+    std::unique_ptr<QueryEngine> engine;  // over `log`; never null
     /// Monotonic snapshot version; part of every cache key, so an ingest
     /// that publishes a new snapshot implicitly invalidates all cached
     /// results (old-version entries age out of the LRU).
-    std::uint64_t version = 1;
+    std::uint64_t version;
   };
 
   std::shared_ptr<const State> state() const;

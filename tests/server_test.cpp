@@ -435,15 +435,171 @@ TEST(ServerTest, TwoEphemeralServersGetDistinctPorts) {
   EXPECT_EQ(b.client().get("/healthz").status, 200);
 }
 
-TEST(ServerTest, EmptyLogStillAnswersAndValidates) {
-  TestServer ts(std::nullopt);
+/// Member names of a JSON object, in order.
+std::vector<std::string> keys_of(const server::JsonValue& v) {
+  std::vector<std::string> keys;
+  for (const auto& [k, unused] : v.members()) keys.push_back(k);
+  return keys;
+}
+
+/// The NDJSON chunks of one streamed request.
+std::vector<std::string> stream_chunks(const TestServer& ts,
+                                       const std::string& target,
+                                       const std::string& body) {
+  std::vector<std::string> chunks;
   server::HttpClient c = ts.client();
-  const server::ClientResponse ok =
-      c.post("/query", R"({"query": "a -> b"})");
-  ASSERT_EQ(ok.status, 200) << ok.body;
-  EXPECT_EQ(server::parse_json(ok.body).find("total")->as_int(), 0);
-  // Parsing still happens on the empty path: clients get their 400s.
-  EXPECT_EQ(c.post("/query", R"({"query": "((broken"})").status, 400);
+  const server::ClientResponse head =
+      c.stream("POST", target, body, [&](std::string_view chunk) {
+        chunks.emplace_back(chunk);
+        return true;
+      });
+  EXPECT_EQ(head.status, 200) << head.body;
+  return chunks;
+}
+
+TEST(ServerTest, EmptyLogStillAnswersAndValidates) {
+  // An empty service answers through the same flow as a loaded one: each
+  // response has exactly the shape of a zero-match answer, in both cache
+  // modes, buffered and streamed.
+  for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 20}) {
+    SCOPED_TRACE("cache_bytes=" + std::to_string(cache_bytes));
+    server::ServiceOptions svc;
+    svc.cache_bytes = cache_bytes;
+    TestServer empty(std::nullopt, svc);
+    TestServer loaded(small_log(), svc);
+    server::HttpClient ce = empty.client();
+    server::HttpClient cl = loaded.client();
+
+    const std::string query = R"({"query": "zzz"})";  // no match in either
+    const server::ClientResponse eq = ce.post("/query", query);
+    const server::ClientResponse lq = cl.post("/query", query);
+    ASSERT_EQ(eq.status, 200) << eq.body;
+    ASSERT_EQ(lq.status, 200) << lq.body;
+    const server::JsonValue ev = server::parse_json(eq.body);
+    EXPECT_EQ(ev.find("total")->as_int(), 0);
+    EXPECT_EQ(keys_of(ev), keys_of(server::parse_json(lq.body)));
+    EXPECT_EQ(eq.header("x-wfq-cache") != nullptr,
+              lq.header("x-wfq-cache") != nullptr);
+
+    const std::string streamed = R"({"query": "zzz", "stream": true})";
+    const std::vector<std::string> es =
+        stream_chunks(empty, "/query", streamed);
+    const std::vector<std::string> ls =
+        stream_chunks(loaded, "/query", streamed);
+    ASSERT_EQ(es.size(), 2u);  // head + tail, no groups
+    ASSERT_EQ(ls.size(), es.size());
+    for (std::size_t i = 0; i < es.size(); ++i) {
+      EXPECT_EQ(keys_of(server::parse_json(es[i])),
+                keys_of(server::parse_json(ls[i])));
+    }
+
+    const std::string batch = R"({"queries": ["zzz", "((broken"]})";
+    const server::ClientResponse eb = ce.post("/batch", batch);
+    const server::ClientResponse lb = cl.post("/batch", batch);
+    ASSERT_EQ(eb.status, 200) << eb.body;
+    ASSERT_EQ(lb.status, 200) << lb.body;
+    const server::JsonValue ebv = server::parse_json(eb.body);
+    const server::JsonValue lbv = server::parse_json(lb.body);
+    EXPECT_EQ(keys_of(ebv), keys_of(lbv));
+    EXPECT_EQ(keys_of(*ebv.find("stats")), keys_of(*lbv.find("stats")));
+    const server::JsonArray& er = ebv.find("results")->as_array();
+    const server::JsonArray& lr = lbv.find("results")->as_array();
+    ASSERT_EQ(er.size(), 2u);
+    ASSERT_EQ(lr.size(), 2u);
+    for (std::size_t i = 0; i < er.size(); ++i) {
+      EXPECT_EQ(keys_of(er[i]), keys_of(lr[i]));
+    }
+    // Parse errors stay isolated in their slot, with the same message...
+    ASSERT_NE(er[1].find("error"), nullptr);
+    EXPECT_EQ(er[1].find("error")->as_string(),
+              lr[1].find("error")->as_string());
+    // ...and a bad /query text is still a 400, buffered or streamed.
+    EXPECT_EQ(ce.post("/query", R"({"query": "((broken"})").status, 400);
+    EXPECT_EQ(
+        ce.post("/query", R"({"query": "((broken", "stream": true})").status,
+        400);
+  }
+}
+
+TEST(ServerTest, UncachedBatchStatsCountParseErrorSlots) {
+  // With the cache off, "stats" describes one run_batch pass over every
+  // slot — parse-error slots included in "queries" — and carries no
+  // result_cache_* fields. The values are pinned from the server as it
+  // was before the cache-off and cache-on /batch flows were merged.
+  TestServer ts(small_log());  // ServiceOptions default: cache off
+  server::HttpClient c = ts.client();
+  const server::ClientResponse resp = c.post(
+      "/batch", R"({"queries": ["a -> b", "b . c", "a -> b", "((broken"]})");
+  ASSERT_EQ(resp.status, 200) << resp.body;
+  EXPECT_EQ(resp.header("x-wfq-cache"), nullptr);
+  const server::JsonValue v = server::parse_json(resp.body);
+  const server::JsonValue* stats = v.find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(keys_of(*stats),
+            (std::vector<std::string>{"queries", "total_nodes",
+                                      "distinct_slots", "shared_nodes",
+                                      "cache_hits", "cache_misses",
+                                      "threads_used", "eval_us"}));
+  EXPECT_EQ(stats->find("queries")->as_int(), 4);
+  EXPECT_EQ(stats->find("total_nodes")->as_int(), 9);
+  EXPECT_EQ(stats->find("distinct_slots")->as_int(), 5);
+  EXPECT_EQ(stats->find("shared_nodes")->as_int(), 4);
+  EXPECT_EQ(stats->find("cache_hits")->as_int(), 6);
+  EXPECT_EQ(stats->find("cache_misses")->as_int(), 15);
+  EXPECT_EQ(stats->find("threads_used")->as_int(), 1);
+  ASSERT_NE(v.find("results")->as_array()[3].find("error"), nullptr);
+}
+
+TEST(ServerTest, IntegerFieldsRejectFractionsAndOutOfRange) {
+  TestServer ts(small_log());
+  server::HttpClient c = ts.client();
+  // A truncating read made -0.5 and -0.9 "0" (no deadline / unlimited),
+  // 0.7 "0", and 1e300 an out-of-range float-to-int cast.
+  for (const char* body : {
+           R"({"query": "a -> b", "deadline_ms": -0.5})",
+           R"({"query": "a -> b", "limit": -0.9})",
+           R"({"query": "a -> b", "max_incidents": 0.7})",
+           R"({"query": "a -> b", "deadline_ms": 1e300})",
+           R"({"query": "a -> b", "limit": 9.3e18})",
+       }) {
+    EXPECT_EQ(c.post("/query", body).status, 400) << body;
+  }
+  EXPECT_EQ(
+      c.post("/batch", R"({"queries": ["a -> b"], "max_incidents": 2.5})")
+          .status,
+      400);
+  EXPECT_EQ(
+      c.post("/subscribe", R"({"query": "a -> b", "deadline_ms": 0.5})")
+          .status,
+      400);
+
+  // Integral values stay valid whatever their JSON spelling.
+  for (const char* body : {
+           R"({"query": "a -> b", "limit": 2.0})",
+           R"({"query": "a -> b", "deadline_ms": 1e3})",
+           R"({"query": "a -> b", "max_incidents": -0.0})",
+       }) {
+    EXPECT_EQ(c.post("/query", body).status, 200) << body;
+  }
+  // The largest deadline never expires (adding it to the clock used to
+  // overflow into a deadline in the past).
+  const server::ClientResponse far = c.post(
+      "/query", R"({"query": "a -> b", "deadline_ms": 9223372036854775807})");
+  ASSERT_EQ(far.status, 200) << far.body;
+  EXPECT_TRUE(server::parse_json(far.body).find("complete")->as_bool());
+
+  TestServer live(std::nullopt);
+  server::HttpClient ci = live.client();
+  const server::ClientResponse bad = ci.post("/ingest", R"({"events": [
+    {"op": "begin"},
+    {"op": "record", "wid": 1.5, "activity": "a"}
+  ]})");
+  ASSERT_EQ(bad.status, 400) << bad.body;
+  EXPECT_EQ(server::parse_json(bad.body).find("applied")->as_int(), 1);
+  const server::ClientResponse ok = ci.post("/ingest", R"({"events": [
+    {"op": "record", "wid": 1.0, "activity": "a"}
+  ]})");
+  EXPECT_EQ(ok.status, 200) << ok.body;
 }
 
 // ----- request observability ----------------------------------------------
