@@ -18,7 +18,8 @@
 //   * ShardPool      — a persistent worker pool shared by every query of an
 //                      engine (scatter without per-query thread spawns; the
 //                      caller participates, so a 0-worker pool degrades to
-//                      the serial loop).
+//                      the serial loop). Defined in common/shard_pool.h,
+//                      where the store load uses it too.
 //   * scatter_shards  — the one loop that hands shards to the pool (or
 //                      runs them inline); evaluate_sharded / count_sharded /
 //                      exists_sharded and evaluate_batch (core/batch.h) are
@@ -33,13 +34,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
+#include "common/shard_pool.h"
 #include "core/evaluator.h"
 
 namespace wflog {
@@ -95,66 +93,6 @@ class ShardPlan {
  private:
   std::vector<Shard> shards_;
   std::size_t num_instances_ = 0;
-};
-
-/// A persistent pool of shard workers, created once per engine and reused
-/// by every query — scatter without per-query thread spawns (E19 showed a
-/// thread per whole query cannot scale a multi-core host).
-///
-/// run(count, work) executes work(i) for i in [0, count) and returns when
-/// all items finished. The CALLING thread participates in its own job, so
-/// a pool with zero workers degrades to the plain serial loop, and
-/// progress never depends on workers being free. Multiple threads may call
-/// run() concurrently (wfqd's request workers share one engine): jobs
-/// queue FIFO and every worker drains them in order.
-///
-/// shutdown() (or destruction) stops the workers after their current item;
-/// callers inside run() finish their remaining items inline — correctness
-/// never depends on the pool being alive. Genuine cancellation of
-/// in-flight work is the guard's job: wfqd's drain trips every request's
-/// EvalGuard, which the per-shard evaluation polls (the
-/// drain-under-sharded-load regression test in tests/server_test.cpp).
-class ShardPool {
- public:
-  /// Spawns `workers` threads (0 = none; run() then executes inline).
-  explicit ShardPool(std::size_t workers);
-  ~ShardPool();
-
-  ShardPool(const ShardPool&) = delete;
-  ShardPool& operator=(const ShardPool&) = delete;
-
-  /// Executes work(i) for every i in [0, count); blocks until done.
-  /// An exception thrown by any item is captured and rethrown here (first
-  /// one wins; remaining items still run).
-  void run(std::size_t count, const std::function<void(std::size_t)>& work);
-
-  /// Stops the workers after their current item and joins them.
-  /// Idempotent. Queued-but-unstarted items are NOT dropped: the callers
-  /// blocked in run() execute them inline, so results stay complete.
-  void shutdown();
-
-  std::size_t workers() const noexcept { return workers_.size(); }
-
- private:
-  struct Job {
-    std::size_t count = 0;
-    const std::function<void(std::size_t)>* work = nullptr;
-    std::size_t next = 0;    // next unclaimed item (under mu_)
-    std::size_t done = 0;    // finished items (under mu_)
-    std::exception_ptr error;  // first failure (under mu_)
-    std::condition_variable finished;
-  };
-
-  /// Claims and runs items of `job` until it is exhausted; returns with
-  /// mu_ held. `lock` must hold mu_ on entry.
-  void drain_job(Job& job, std::unique_lock<std::mutex>& lock);
-  void worker_loop();
-
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::deque<Job*> jobs_;  // FIFO of jobs with unclaimed items
-  std::vector<std::thread> workers_;
-  bool stop_ = false;
 };
 
 /// One shard's raw gather output: the non-empty incident lists of its

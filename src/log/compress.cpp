@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <vector>
 
 namespace wflog {
@@ -122,20 +123,17 @@ class BitReader {
   /// Drops bits up to the next byte boundary (stored-block alignment).
   void align_to_byte() { consume(filled_ % 8); }
 
-  /// Reads `n` raw bytes; requires byte alignment.
-  std::string read_bytes(std::size_t n) {
-    std::string out;
-    out.reserve(n);
-    // Drain whole bytes already buffered in the accumulator first.
-    while (n > 0 && filled_ >= 8) {
-      out.push_back(static_cast<char>(acc_ & 0xFFu));
-      consume(8);
-      --n;
-    }
+  /// The next `n` raw input bytes; requires byte alignment.
+  std::string_view read_bytes(std::size_t n) {
+    // Aligned, the accumulator holds exactly the whole bytes just before
+    // pos_: give them back and read straight from the input.
+    pos_ -= filled_ / 8;
+    acc_ = 0;
+    filled_ = 0;
     if (data_.size() - pos_ < n) {
       throw InflateError("inflate: truncated stored block");
     }
-    out.append(data_.substr(pos_, n));
+    const std::string_view out = data_.substr(pos_, n);
     pos_ += n;
     return out;
   }
@@ -318,8 +316,40 @@ const std::array<LitlenEntry, 512>& fixed_litlen_table() {
   return table;
 }
 
-void inflate_fixed_block(BitReader& br, std::string& out,
-                         std::size_t expected_size) {
+/// The inflater's output: one buffer sized up front, written through a
+/// cursor. Its capacity is the declared size, or less when the input is
+/// too short to ever produce that many bytes (see deflate_decompress).
+class OutBuffer {
+ public:
+  OutBuffer(std::size_t capacity, std::size_t declared)
+      : buf_(capacity, '\0'), declared_(declared) {}
+
+  std::size_t size() const noexcept { return pos_; }
+
+  /// Claims the next `n` bytes; throws when they would pass the declared
+  /// size.
+  char* claim(std::size_t n) {
+    if (n > buf_.size() - pos_) {
+      throw InflateError("inflate: output exceeds declared size " +
+                         std::to_string(declared_));
+    }
+    char* at = buf_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
+  std::string take() && {
+    buf_.resize(pos_);
+    return std::move(buf_);
+  }
+
+ private:
+  std::string buf_;
+  std::size_t pos_ = 0;
+  std::size_t declared_ = 0;
+};
+
+void inflate_fixed_block(BitReader& br, OutBuffer& out) {
   const auto& table = fixed_litlen_table();
   for (;;) {
     unsigned avail = 0;
@@ -331,7 +361,7 @@ void inflate_fixed_block(BitReader& br, std::string& out,
     br.consume(e.len);
     const unsigned sym = e.symbol;
     if (sym < 256) {
-      out.push_back(static_cast<char>(sym));
+      *out.claim(1) = static_cast<char>(sym);
     } else if (sym == 256) {
       return;  // end of block
     } else {
@@ -356,16 +386,15 @@ void inflate_fixed_block(BitReader& br, std::string& out,
             std::to_string(dist) + ", have " + std::to_string(out.size()) +
             ")");
       }
-      // Byte-by-byte: overlapping references (dist < len) deliberately
-      // reuse just-written bytes.
-      const std::size_t start = out.size() - dist;
-      for (std::size_t k = 0; k < len; ++k) {
-        out.push_back(out[start + k]);
+      char* dst = out.claim(len);
+      const char* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        // Overlapping reference (dist < len): byte by byte, deliberately
+        // reusing just-written bytes.
+        for (std::size_t k = 0; k < len; ++k) dst[k] = src[k];
       }
-    }
-    if (out.size() > expected_size) {
-      throw InflateError("inflate: output exceeds declared size " +
-                         std::to_string(expected_size));
     }
   }
 }
@@ -380,10 +409,16 @@ std::string deflate_compress(std::string_view data) {
   return fixed;
 }
 
+std::size_t max_inflated_size(std::size_t compressed_size) noexcept {
+  return (compressed_size * 8 / 13 + 1) * kMaxMatch;
+}
+
 std::string deflate_decompress(std::string_view data,
                                std::size_t expected_size) {
-  std::string out;
-  out.reserve(expected_size);
+  // A declared size beyond what `data` can inflate to is never reached:
+  // the buffer never needs to be larger.
+  OutBuffer out(std::min(expected_size, max_inflated_size(data.size())),
+                expected_size);
   BitReader br(data);
   bool final_block = false;
   while (!final_block) {
@@ -392,7 +427,7 @@ std::string deflate_decompress(std::string_view data,
     switch (btype) {
       case 0: {  // stored
         br.align_to_byte();
-        const std::string hdr = br.read_bytes(4);
+        const std::string_view hdr = br.read_bytes(4);
         const auto byte_at = [&](int i) {
           return static_cast<std::uint32_t>(static_cast<unsigned char>(hdr[i]));
         };
@@ -407,11 +442,12 @@ std::string deflate_decompress(std::string_view data,
           throw InflateError("inflate: output exceeds declared size " +
                              std::to_string(expected_size));
         }
-        out.append(br.read_bytes(len));
+        const std::string_view bytes = br.read_bytes(len);
+        if (len > 0) std::memcpy(out.claim(len), bytes.data(), len);
         break;
       }
       case 1:  // fixed Huffman
-        inflate_fixed_block(br, out, expected_size);
+        inflate_fixed_block(br, out);
         break;
       case 2:
         throw InflateError(
@@ -427,7 +463,7 @@ std::string deflate_decompress(std::string_view data,
     throw InflateError("inflate: output size " + std::to_string(out.size()) +
                        " != declared " + std::to_string(expected_size));
   }
-  return out;
+  return std::move(out).take();
 }
 
 }  // namespace wflog

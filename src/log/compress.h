@@ -41,6 +41,12 @@ class InflateError : public IoError {
 /// equal input yields equal output.
 std::string deflate_compress(std::string_view data);
 
+/// The most bytes any stream of `compressed_size` bytes can inflate to.
+/// The cheapest output per input bit is a 258-byte match coded in 13 bits
+/// (8-bit length code 285, 5-bit distance code 0). Bounds the inflater's
+/// buffer and, in the store, what a block's declared sizes can claim.
+std::size_t max_inflated_size(std::size_t compressed_size) noexcept;
+
 /// Decompresses a stream produced by deflate_compress (any conforming
 /// stored/fixed-Huffman deflate stream, in fact). `expected_size` is the
 /// caller-known uncompressed size (from the block header); a stream that

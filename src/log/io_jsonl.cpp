@@ -257,7 +257,11 @@ class JsonParser {
   }
 
   AttrMap parse_map(Interner& interner) {
-    AttrMap map;
+    // Built in a per-thread scratch map and returned as a copy: the copy
+    // is allocated once at its exact size, with no growth slack for a
+    // loaded record to keep.
+    thread_local AttrMap map;
+    map.clear();
     expect('{');
     bool first = true;
     while (true) {

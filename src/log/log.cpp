@@ -19,10 +19,13 @@ Log::Log(std::vector<LogRecord> records, Interner interner)
 }
 
 Log Log::from_records(std::vector<LogRecord> records, Interner interner) {
-  std::sort(records.begin(), records.end(),
-            [](const LogRecord& a, const LogRecord& b) {
-              return a.lsn < b.lsn;
-            });
+  const auto by_lsn = [](const LogRecord& a, const LogRecord& b) {
+    return a.lsn < b.lsn;
+  };
+  // Stores and generators hand records over in lsn order already.
+  if (!std::is_sorted(records.begin(), records.end(), by_lsn)) {
+    std::sort(records.begin(), records.end(), by_lsn);
+  }
   validate_well_formed(records, interner);
   return Log(std::move(records), std::move(interner));
 }

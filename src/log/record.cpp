@@ -19,4 +19,8 @@ const Value* AttrMap::get(Symbol attr) const noexcept {
   return nullptr;
 }
 
+void AttrMap::remap(std::span<const Symbol> to) noexcept {
+  for (AttrEntry& e : entries_) e.attr = to[e.attr];
+}
+
 }  // namespace wflog

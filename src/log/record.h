@@ -6,6 +6,7 @@
 // instance, the activity name, and the attribute maps the activity read
 // (αin) and wrote (αout).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@ class AttrMap {
   const Value* get(Symbol attr) const noexcept;
 
   bool contains(Symbol attr) const noexcept { return get(attr) != nullptr; }
+  void clear() noexcept { entries_.clear(); }
   bool empty() const noexcept { return entries_.empty(); }
   std::size_t size() const noexcept { return entries_.size(); }
 
@@ -49,6 +51,10 @@ class AttrMap {
   bool operator==(const AttrMap& other) const {
     return entries_ == other.entries_;
   }
+
+  /// Rewrites every attribute symbol s as to[s]: moves a map decoded
+  /// against one Interner onto another. Precondition: s < to.size().
+  void remap(std::span<const Symbol> to) noexcept;
 
  private:
   std::vector<AttrEntry> entries_;

@@ -1,14 +1,21 @@
 #include "log/store.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "common/error.h"
+#include "common/shard_pool.h"
 #include "common/text.h"
+#include "log/compress.h"
 #include "log/io_jsonl.h"
 #include "obs/telemetry.h"
 
@@ -82,8 +89,8 @@ std::size_t count_v2_records(std::string_view data) {
   return n;
 }
 
-/// Invokes `fn(record, line)` for every store line in an uncompressed
-/// block payload. Throws IoError on an unparseable line.
+/// Invokes `fn(record)` with every record of an uncompressed block
+/// payload, in order, by rvalue. Throws IoError on an unparseable line.
 template <typename Fn>
 void for_each_payload_record(std::string_view payload, Interner& interner,
                              Fn&& fn) {
@@ -94,8 +101,40 @@ void for_each_payload_record(std::string_view payload, Interner& interner,
     const std::string_view line = trim(payload.substr(pos, nl - pos));
     pos = nl + 1;
     if (line.empty()) continue;
-    fn(parse_store_line(line, interner), line);
+    fn(parse_store_line(line, interner));
   }
+}
+
+/// One unit of a load, in file order: a sealed v2 block, decoded on the
+/// pool straight into its slots, or a region without zone maps (a v1
+/// segment, an unsealed v2 segment, the pending buffer), decoded serially
+/// up front. Symbols refer to the chunk's own interner until the remap.
+struct LoadChunk {
+  std::size_t segment = 0;
+  const BlockZone* zone = nullptr;  // null: a region without zone maps
+  std::string_view file;            // the sealed segment's bytes
+  std::vector<LogRecord> unmapped;  // a region's records before slotting
+  std::size_t begin = 0;            // slots [begin, begin + count)
+  std::size_t count = 0;
+  Interner interner;
+  std::exception_ptr error;
+};
+
+/// Below this many sealed blocks per core a load decodes inline.
+constexpr std::size_t kParallelBlocksPerCore = 2;
+
+IoError block_count_error(const fs::path& seg, const BlockZone& zone,
+                          const std::string& holds) {
+  return IoError("LogStore: block at byte " + std::to_string(zone.file_offset) +
+                 " of segment '" + seg.string() + "' holds " + holds +
+                 " records but its zone map declares " +
+                 std::to_string(zone.record_count));
+}
+
+void decode_unmapped(std::string_view payload, LoadChunk& c) {
+  for_each_payload_record(payload, c.interner, [&c](LogRecord&& l) {
+    c.unmapped.push_back(std::move(l));
+  });
 }
 
 std::string manifest_text(std::size_t records_per_segment,
@@ -443,7 +482,7 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
       // a second pass over the in-memory strings cannot fail.
       for (const std::string& payload : scan.payloads) {
         for_each_payload_record(
-            payload, scratch, [&](const LogRecord& l, std::string_view) {
+            payload, scratch, [&](const LogRecord& l) {
               ++records_in_segment;
               ++store.num_records_;
               const bool ended = scratch.name(l.activity) == kEndActivity;
@@ -882,130 +921,75 @@ void LogStore::recover_tail_to(std::uintmax_t good_bytes) noexcept {
   }
 }
 
-Log LogStore::load() const {
+Log LogStore::load() const { return load_pruned({}).log; }
+
+LogStore::PrunedLoad LogStore::load_pruned(
+    const std::vector<std::string>& required) const {
   WFLOG_SPAN(span, "store.load");
-  if (span.active()) {
-    span.arg("segments", static_cast<std::uint64_t>(segments_.size()));
-    span.arg("records", static_cast<std::uint64_t>(num_records_));
+  PrunedLoad out;
+  out.pruned = !required.empty();
+  for (const auto& [s, footer] : footers_) {
+    out.blocks_total += footer.blocks.size();
   }
-  Interner interner;
-  std::vector<LogRecord> records;
-  records.reserve(num_records_);
-  const auto take = [&records](const LogRecord& l, std::string_view) {
-    records.push_back(l);
-  };
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    if (format_of(segments_[s]) == SegmentFormat::kV2Blocks) {
-      const std::string data = read_whole_file(segment_path(s));
-      if (const auto it = footers_.find(s); it != footers_.end()) {
-        for (const BlockZone& zone : it->second.blocks) {
-          for_each_payload_record(read_v2_block_payload(data, zone),
-                                  interner, take);
-          ++blocks_read_;
-          WFLOG_TELEMETRY(t) { t->store_blocks_read_total->inc(); }
-        }
-      } else {
-        const BlockScan scan = scan_v2_blocks(data);
+
+  // Pass 1, serial, in file order: one chunk per sealed block, and the
+  // regions without zone maps decoded in full. Their instances are
+  // "opaque": candidates no zone map can rule out. An error is kept on
+  // its chunk, so the load reports the earliest one in file order.
+  std::vector<LoadChunk> chunks;
+  std::size_t unsealed_blocks = 0;
+  WidIntervals opaque;
+  for (std::size_t s = 0; s <= segments_.size(); ++s) {
+    if (const auto it = footers_.find(s); it != footers_.end()) {
+      for (const BlockZone& zone : it->second.blocks) {
+        LoadChunk& c = chunks.emplace_back();
+        c.segment = s;
+        c.zone = &zone;
+      }
+      continue;
+    }
+    LoadChunk& c = chunks.emplace_back();
+    try {
+      if (s == segments_.size()) {
+        // Acknowledged records still buffered for the next block live
+        // only in memory; a load must see them (read-your-writes).
+        decode_unmapped(pending_.payload(), c);
+      } else if (format_of(segments_[s]) == SegmentFormat::kV2Blocks) {
+        // A torn tail mid-session (an in-process write failure) is
+        // benign, like v1's unterminated final line.
+        const BlockScan scan =
+            scan_v2_blocks(read_whole_file(segment_path(s)));
         if (!scan.corrupt_reason.empty()) {
           throw IoError("LogStore: segment '" + segment_path(s).string() +
                         "' is corrupt: " + scan.corrupt_reason);
         }
-        // A torn tail mid-session (in-process write failure) is benign —
-        // exactly like v1's tolerated unterminated final line.
         for (const std::string& payload : scan.payloads) {
-          for_each_payload_record(payload, interner, take);
-          ++blocks_read_;
-          WFLOG_TELEMETRY(t) { t->store_blocks_read_total->inc(); }
+          decode_unmapped(payload, c);
+        }
+        unsealed_blocks += scan.payloads.size();
+      } else {
+        std::ifstream seg(segment_path(s));
+        if (!seg) {
+          throw IoError("LogStore: missing segment '" +
+                        segment_path(s).string() + "'");
+        }
+        std::string line;
+        while (std::getline(seg, line)) {
+          if (trim(line).empty()) continue;
+          try {
+            c.unmapped.push_back(parse_store_line(trim(line), c.interner));
+          } catch (const IoError&) {
+            // An unparseable last line of the final segment: torn append.
+            if (s + 1 == segments_.size() && seg.peek() == EOF) break;
+            throw;
+          }
         }
       }
-      continue;
+    } catch (...) {
+      c.error = std::current_exception();
     }
-    std::ifstream seg(segment_path(s));
-    if (!seg) {
-      throw IoError("LogStore: missing segment '" +
-                    segment_path(s).string() + "'");
-    }
-    std::string line;
-    while (std::getline(seg, line)) {
-      if (trim(line).empty()) continue;
-      try {
-        records.push_back(parse_store_line(trim(line), interner));
-      } catch (const IoError&) {
-        if (s + 1 == segments_.size() && seg.peek() == EOF) break;
-        throw;
-      }
-    }
+    for (const LogRecord& l : c.unmapped) opaque.add(l.wid, l.wid);
   }
-  // Acknowledged records still buffered for the next block live only in
-  // memory; a load() must see them (read-your-writes).
-  for_each_payload_record(pending_.payload(), interner, take);
-  return Log::from_records(std::move(records), std::move(interner));
-}
-
-LogStore::PrunedLoad LogStore::load_pruned(
-    const std::vector<std::string>& required) const {
-  WFLOG_SPAN(span, "store.load_pruned");
-  PrunedLoad out;
-  for (const auto& [s, footer] : footers_) {
-    out.blocks_total += footer.blocks.size();
-  }
-  if (required.empty()) {
-    // Nothing to prune against: every block is relevant.
-    out.log = load();
-    out.records_kept = out.log.size();
-    out.blocks_read = out.blocks_total;
-    return out;
-  }
-  out.pruned = true;
-
-  Interner interner;
-  // Per-segment record buckets keep global order without a sort; slot
-  // segments_.size() holds the in-memory pending records.
-  std::vector<std::vector<LogRecord>> buckets(segments_.size() + 1);
-
-  // Pass 1: regions without zone maps — v1 segments, the unsealed v2
-  // tail, the pending buffer — are read in full; their instances are
-  // "opaque": candidates no zone map can rule out.
-  WidIntervals opaque;
-  const auto take_opaque = [&](std::size_t slot) {
-    return [&, slot](const LogRecord& l, std::string_view) {
-      opaque.add(l.wid, l.wid);
-      buckets[slot].push_back(l);
-    };
-  };
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    if (format_of(segments_[s]) == SegmentFormat::kV2Blocks) {
-      if (footers_.contains(s)) continue;  // zone-mapped: pass 3
-      const BlockScan scan = scan_v2_blocks(read_whole_file(segment_path(s)));
-      if (!scan.corrupt_reason.empty()) {
-        throw IoError("LogStore: segment '" + segment_path(s).string() +
-                      "' is corrupt: " + scan.corrupt_reason);
-      }
-      for (const std::string& payload : scan.payloads) {
-        for_each_payload_record(payload, interner, take_opaque(s));
-        ++blocks_read_;
-        WFLOG_TELEMETRY(t) { t->store_blocks_read_total->inc(); }
-      }
-    } else {
-      std::ifstream seg(segment_path(s));
-      if (!seg) {
-        throw IoError("LogStore: missing segment '" +
-                      segment_path(s).string() + "'");
-      }
-      std::string line;
-      while (std::getline(seg, line)) {
-        if (trim(line).empty()) continue;
-        try {
-          take_opaque(s)(parse_store_line(trim(line), interner), line);
-        } catch (const IoError&) {
-          if (s + 1 == segments_.size() && seg.peek() == EOF) break;
-          throw;
-        }
-      }
-    }
-  }
-  for_each_payload_record(pending_.payload(), interner,
-                          take_opaque(segments_.size()));
   opaque.normalize();
 
   // Pass 2: candidate instances. For each required activity, the
@@ -1032,51 +1016,128 @@ LogStore::PrunedLoad LogStore::load_pruned(
     if (candidates.empty()) break;
   }
 
-  // Pass 3: read only the zone-mapped blocks whose wid range overlaps a
-  // candidate; keep whole candidate instances.
-  for (const auto& [s, footer] : footers_) {
-    std::string data;
-    bool loaded = false;
-    for (const BlockZone& zone : footer.blocks) {
-      if (zone.record_count != 0 &&
-          candidates.overlaps(zone.wid_min, zone.wid_max)) {
-        if (!loaded) {
-          data = read_whole_file(segment_path(s));
-          loaded = true;
-        }
-        for_each_payload_record(
-            read_v2_block_payload(data, zone), interner,
-            [&](const LogRecord& l, std::string_view) {
-              if (candidates.contains(l.wid)) buckets[s].push_back(l);
-            });
-        ++out.blocks_read;
-        ++blocks_read_;
-        WFLOG_TELEMETRY(t) { t->store_blocks_read_total->inc(); }
-      } else {
-        ++out.blocks_skipped;
-        ++blocks_skipped_;
-        WFLOG_TELEMETRY(t) { t->store_blocks_skipped_total->inc(); }
+  // Pass 3: slot layout. A prefix sum over the chunks gives each its
+  // range of one pre-sized record vector; a sealed block takes its zone's
+  // record count, if its bytes can hold that many (a record is a
+  // non-empty line plus its newline). Segments are read once each, and
+  // only those with a block to decode.
+  std::map<std::size_t, std::string> files;
+  std::vector<std::size_t> tasks;  // chunk indices of the blocks to decode
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    LoadChunk& c = chunks[i];
+    c.begin = total;
+    c.count = c.unmapped.size();
+    if (c.zone != nullptr) {
+      const BlockZone& zone = *c.zone;
+      if (out.pruned && (zone.record_count == 0 ||
+                         !candidates.overlaps(zone.wid_min, zone.wid_max))) {
+        ++out.blocks_skipped;  // an empty chunk
+        continue;
       }
+      ++out.blocks_read;
+      const std::size_t most =
+          (std::min<std::size_t>(zone.uncompressed_size,
+                                 max_inflated_size(zone.compressed_size)) +
+           1) / 2;
+      if (zone.record_count > most) {
+        c.error = std::make_exception_ptr(block_count_error(
+            segment_path(c.segment), zone, "at most " + std::to_string(most)));
+        continue;
+      }
+      std::string& file = files[c.segment];
+      if (file.empty()) file = read_whole_file(segment_path(c.segment));
+      c.file = file;
+      c.count = zone.record_count;
+      tasks.push_back(i);
     }
+    total += c.count;
+  }
+  std::vector<LogRecord> records(total);
+  for (LoadChunk& c : chunks) {
+    std::move(c.unmapped.begin(), c.unmapped.end(),
+              records.begin() + static_cast<std::ptrdiff_t>(c.begin));
+    c.unmapped = {};
   }
 
-  // Assemble in global order; drop non-candidate opaque records; renumber
-  // lsns so the result is a valid Log. Instance-local coordinates (wid,
-  // is-lsn) — what incidents are made of — are untouched.
-  std::vector<LogRecord> records;
-  Lsn next_lsn = 1;
-  for (std::vector<LogRecord>& bucket : buckets) {
-    for (LogRecord& l : bucket) {
-      if (!candidates.contains(l.wid)) continue;
-      l.lsn = next_lsn++;
-      records.push_back(std::move(l));
+  // The blocks, on a transient pool when there are enough of them. Each
+  // task writes only its own chunk and slots: header-vs-zone check,
+  // payload CRC and strict inflate (read_v2_block_payload), per-line CRC
+  // and parse. A block holding any other number of records than its
+  // zone declares is corrupt.
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t workers =
+      tasks.size() >= kParallelBlocksPerCore * cores ? cores - 1 : 0;
+  ShardPool(workers).run(tasks.size(), [&](std::size_t t) {
+    LoadChunk& c = chunks[tasks[t]];
+    try {
+      const std::string payload = read_v2_block_payload(c.file, *c.zone);
+      std::size_t n = 0;
+      for_each_payload_record(payload, c.interner, [&](LogRecord&& l) {
+        if (n < c.count) records[c.begin + n] = std::move(l);
+        ++n;
+      });
+      if (n != c.count) {
+        throw block_count_error(segment_path(c.segment), *c.zone,
+                                std::to_string(n));
+      }
+    } catch (...) {
+      c.error = std::current_exception();
+    }
+  });
+  files.clear();
+
+  // After the join, in file order: the earliest error wins; each chunk's
+  // local symbols are interned globally by ascending local id, which
+  // gives exactly the ids of one serial decode; non-candidate records
+  // are compacted away (stably) and, when pruned, lsns renumbered so the
+  // result is a valid Log. Instance-local coordinates (wid, is-lsn) —
+  // what incidents are made of — are untouched.
+  Interner interner;
+  std::vector<Symbol> to;
+  std::size_t kept = 0;
+  for (LoadChunk& c : chunks) {
+    if (c.error != nullptr) std::rethrow_exception(c.error);
+    to.clear();
+    for (Symbol sym = 0; sym < c.interner.size(); ++sym) {
+      to.push_back(interner.intern(c.interner.name(sym)));
+    }
+    for (std::size_t i = c.begin; i < c.begin + c.count; ++i) {
+      LogRecord& l = records[i];
+      if (out.pruned && !candidates.contains(l.wid)) continue;
+      l.activity = to[l.activity];
+      l.in.remap(to);
+      l.out.remap(to);
+      if (out.pruned) l.lsn = static_cast<Lsn>(kept + 1);
+      if (kept != i) records[kept] = std::move(l);
+      ++kept;
     }
   }
+  records.resize(kept);
+  // A pruned load that dropped most slots gives the rest back.
+  if (kept < total / 2) records.shrink_to_fit();
+  chunks = {};
+#if defined(__GLIBC__)
+  // The workers' malloc arenas now hold the decode's freed transients
+  // (inflated payloads, parse scratch, block interners) between the
+  // records they allocated; glibc returns such free pages only on request.
+  if (workers > 0) malloc_trim(0);
+#endif
+
+  blocks_read_ += out.blocks_read + unsealed_blocks;
+  blocks_skipped_ += out.blocks_skipped;
+  WFLOG_TELEMETRY(t) {
+    t->store_blocks_read_total->add(out.blocks_read + unsealed_blocks);
+    t->store_blocks_skipped_total->add(out.blocks_skipped);
+  }
   out.records_kept = records.size();
-  out.log = records.empty()
+  // A pruned load may rightly keep nothing; an empty store is not a Log.
+  out.log = out.pruned && records.empty()
                 ? Log::from_records_unchecked({}, std::move(interner))
                 : Log::from_records(std::move(records), std::move(interner));
   if (span.active()) {
+    span.arg("segments", static_cast<std::uint64_t>(segments_.size()));
     span.arg("blocks_read", static_cast<std::uint64_t>(out.blocks_read));
     span.arg("blocks_skipped",
              static_cast<std::uint64_t>(out.blocks_skipped));

@@ -165,7 +165,10 @@ class LogStore {
   void sync();
 
   // ----- reading ---------------------------------------------------------
-  /// Materializes everything appended so far as a validated Log.
+  /// Materializes everything appended so far as a validated Log: the
+  /// unpruned case of load_pruned (records keep their stored lsns). Throws
+  /// IoError on any corrupt segment, block or record line, naming the
+  /// earliest in file order.
   Log load() const;
 
   /// A zone-map-pruned load: the log restricted to the workflow instances
@@ -178,6 +181,17 @@ class LogStore {
   /// segments whose zone maps rule out every candidate instance are
   /// skipped without being read; v1 segments, the unsealed tail, and the
   /// in-memory pending buffer have no zone maps and are always read.
+  ///
+  /// Both loads decode the sealed blocks they read in parallel on a
+  /// transient ShardPool (common/shard_pool.h) when there are at least two
+  /// per core, each straight into its slots of one pre-sized record
+  /// vector, and give exactly the records, lsns and symbol ids of a serial
+  /// decode in file order. Every block's header is checked against its
+  /// zone, its payload CRC and inflate are strict, every record line's CRC
+  /// is checked, and a block holding any other number of records than its
+  /// zone declares is corrupt. Transient memory beyond the result: the
+  /// compressed bytes of the segments read, one inflated payload per
+  /// worker, and the slots of records a pruned load drops.
   struct PrunedLoad {
     Log log = Log::from_records_unchecked({}, {});
     std::size_t blocks_total = 0;    ///< sealed v2 blocks considered

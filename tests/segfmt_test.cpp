@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <thread>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include <zlib.h>
 #endif
 
+#include "common/crc32.h"
 #include "common/error.h"
 #include "core/engine.h"
 #include "core/parser.h"
@@ -178,6 +180,153 @@ TEST(Compress, CrossValidatesAgainstZlib) {
       deflateEnd(&zs);
       EXPECT_EQ(deflate_decompress(packed, original.size()), original);
     }
+  }
+}
+#endif  // WFLOG_HAVE_ZLIB
+
+/// Writes raw deflate bits LSB-first, Huffman codes MSB-first — for
+/// hand-built malformed streams.
+struct TestBits {
+  std::string out;
+  std::uint64_t acc = 0;
+  unsigned filled = 0;
+  void bits(std::uint32_t value, unsigned n) {
+    acc |= static_cast<std::uint64_t>(value) << filled;
+    filled += n;
+    while (filled >= 8) {
+      out.push_back(static_cast<char>(acc & 0xFFu));
+      acc >>= 8;
+      filled -= 8;
+    }
+  }
+  void code(std::uint32_t value, unsigned n) {
+    for (unsigned i = n; i-- > 0;) bits((value >> i) & 1u, 1);
+  }
+  std::string done() {
+    if (filled > 0) bits(0, 8 - filled);
+    return out;
+  }
+};
+
+std::string inflate_error(std::string_view stream, std::size_t declared) {
+  try {
+    deflate_decompress(stream, declared);
+  } catch (const InflateError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Compress, EveryMalformedStreamKeepsItsMessage) {
+  // Fixed-Huffman final block header: BFINAL=1, BTYPE=01.
+  const auto fixed = [] {
+    TestBits b;
+    b.bits(1, 1);
+    b.bits(1, 2);
+    return b;
+  };
+  {  // reserved length code 286 (8-bit code 0xC0 + 6)
+    TestBits b = fixed();
+    b.code(0xC6, 8);
+    EXPECT_EQ(inflate_error(b.done(), 10),
+              "inflate: reserved length code 286");
+  }
+  {  // literal 'a', then length 3 with reserved distance code 30
+    TestBits b = fixed();
+    b.code(0x30 + 'a', 8);
+    b.code(0x01, 7);
+    b.code(30, 5);
+    EXPECT_EQ(inflate_error(b.done(), 10),
+              "inflate: reserved distance code 30");
+  }
+  {  // a back-reference as the first symbol
+    TestBits b = fixed();
+    b.code(0x01, 7);
+    b.code(0, 5);
+    EXPECT_EQ(inflate_error(b.done(), 10),
+              "inflate: back-reference before start of output (dist 1, "
+              "have 0)");
+  }
+  {  // truncated mid-symbol and out of bits
+    TestBits b = fixed();
+    b.code(0x30 + 'a', 8);
+    EXPECT_EQ(inflate_error(b.done(), 10),
+              "inflate: truncated stream mid-symbol");
+    EXPECT_EQ(inflate_error("", 10),
+              "inflate: truncated stream (out of input bits)");
+  }
+  const std::string run(300, 'q');  // literal + overlapping matches
+  const std::string packed = deflate_compress(run);
+  EXPECT_EQ(inflate_error(packed, 299),
+            "inflate: output exceeds declared size 299");
+  EXPECT_EQ(inflate_error(packed, 301),
+            "inflate: output size 300 != declared 301");
+  EXPECT_EQ(inflate_error(packed + "x", 300),
+            "inflate: trailing garbage after final block");
+  // A declared size far beyond what the input can inflate to is the same
+  // size error, not a buffer of that size.
+  EXPECT_EQ(inflate_error(packed, 0xFFFFFFFFu),
+            "inflate: output size 300 != declared 4294967295");
+  {  // stored blocks: LEN/~LEN, truncation, size
+    const std::string stored = std::string("\x01\x05\x00\xfa\xff", 5) + "hello";
+    EXPECT_EQ(deflate_decompress(stored, 5), "hello");
+    EXPECT_EQ(inflate_error(stored.substr(0, 7), 5),
+              "inflate: truncated stored block");
+    EXPECT_EQ(inflate_error(stored, 4),
+              "inflate: output exceeds declared size 4");
+    std::string bad = stored;
+    bad[3] = 0;
+    EXPECT_EQ(inflate_error(bad, 5),
+              "inflate: stored block LEN/~LEN mismatch");
+  }
+  EXPECT_EQ(inflate_error(std::string(1, '\x05'), 1),
+            "inflate: dynamic-Huffman block (not produced by this writer)");
+  EXPECT_EQ(inflate_error(std::string(1, '\x07'), 1),
+            "inflate: reserved block type 3");
+}
+
+// ----- checksum ------------------------------------------------------------
+
+/// Byte-at-a-time CRC-32, the definition the sliced kernel must match.
+std::uint32_t crc32_reference(std::string_view data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheCheckValueAndTheBytewiseDefinition) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  Rng rng(5);
+  std::string buf(72, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next() & 0xff);
+  // Every length 0..64 at every start offset 0..7: all head/tail splits
+  // around the 8-byte steps.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view view = std::string_view(buf).substr(offset, len);
+      ASSERT_EQ(crc32(view), crc32_reference(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+#if WFLOG_HAVE_ZLIB
+TEST(Crc32, AgreesWithZlib) {
+  Rng rng(11);
+  for (int round = 0; round < 50; ++round) {
+    std::string buf(rng.below(5000), '\0');
+    for (char& c : buf) c = static_cast<char>(rng.next() & 0xff);
+    const uLong want = ::crc32(
+        ::crc32(0L, Z_NULL, 0), reinterpret_cast<const Bytef*>(buf.data()),
+        static_cast<uInt>(buf.size()));
+    ASSERT_EQ(crc32(buf), static_cast<std::uint32_t>(want))
+        << "length " << buf.size();
   }
 }
 #endif  // WFLOG_HAVE_ZLIB
@@ -799,6 +948,400 @@ TEST_F(SegStoreTest, LyingZoneMapChangesAnswers) {
   const LogStore::PrunedLoad pruned = lied_to.load_pruned({"Charlie"});
   EXPECT_LT(pruned.records_kept, honest_kept);
   EXPECT_GT(pruned.blocks_skipped, 0u);
+}
+
+
+// ----- parallel load -------------------------------------------------------
+
+/// The serial decode a load must reproduce: one interner, the store's
+/// regions in MANIFEST order — sealed blocks one by one via
+/// read_v2_block_payload (zone-map pruned when `required` is non-empty,
+/// exactly as LogStore documents it), v1 segments and unsealed v2
+/// segments line by line — records parsed with parse_store_line.
+struct SerialLoad {
+  std::vector<LogRecord> records;
+  Interner interner;
+  std::size_t blocks_read = 0;
+  std::size_t blocks_skipped = 0;
+};
+
+SerialLoad serial_load(const fs::path& dir,
+                       const std::vector<std::string>& required) {
+  struct Region {
+    std::string file;
+    std::optional<FooterRead> footer;
+    bool v1 = false;
+  };
+  std::vector<Region> regions;
+  {
+    std::ifstream manifest(dir / "MANIFEST");
+    std::string line;
+    std::getline(manifest, line);  // magic
+    std::getline(manifest, line);  // records_per_segment
+    while (std::getline(manifest, line)) {
+      if (line.empty()) continue;
+      Region r;
+      r.file = read_file(dir / line);
+      r.v1 = line.ends_with(".jsonl");
+      if (!r.v1) r.footer = try_read_v2_footer(r.file);
+      regions.push_back(std::move(r));
+    }
+  }
+  const auto lines_of = [](std::string_view text, const auto& fn) {
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+      std::size_t nl = text.find('\n', pos);
+      if (nl == std::string_view::npos) nl = text.size();
+      const std::string_view line = text.substr(pos, nl - pos);
+      pos = nl + 1;
+      if (!line.empty()) fn(line);
+    }
+  };
+  // Opaque instances: those of regions without zone maps.
+  WidIntervals opaque;
+  for (const Region& r : regions) {
+    if (r.footer.has_value()) continue;
+    Interner scratch;
+    const auto add = [&](std::string_view line) {
+      const Wid wid = parse_store_line(line, scratch).wid;
+      opaque.add(wid, wid);
+    };
+    if (r.v1) {
+      lines_of(r.file, add);
+    } else {
+      for (const std::string& p : scan_v2_blocks(r.file).payloads) {
+        lines_of(p, add);
+      }
+    }
+  }
+  opaque.normalize();
+  std::optional<WidIntervals> candidates;
+  for (const std::string& activity : required) {
+    WidIntervals admits;
+    for (const Region& r : regions) {
+      if (!r.footer.has_value()) continue;
+      for (const BlockZone& z : r.footer->footer.blocks) {
+        if (z.record_count != 0 && z.bloom.may_contain(activity)) {
+          admits.add(z.wid_min, z.wid_max);
+        }
+      }
+    }
+    admits.normalize();
+    WidIntervals could = WidIntervals::unite(admits, opaque);
+    candidates = candidates.has_value()
+                     ? WidIntervals::intersect(*candidates, could)
+                     : std::move(could);
+  }
+
+  SerialLoad out;
+  const auto take = [&](std::string_view line) {
+    LogRecord l = parse_store_line(line, out.interner);
+    if (!candidates.has_value() || candidates->contains(l.wid)) {
+      if (candidates.has_value()) {
+        l.lsn = static_cast<Lsn>(out.records.size() + 1);
+      }
+      out.records.push_back(std::move(l));
+    }
+  };
+  for (const Region& r : regions) {
+    if (r.v1) {
+      lines_of(r.file, take);
+    } else if (!r.footer.has_value()) {
+      for (const std::string& p : scan_v2_blocks(r.file).payloads) {
+        lines_of(p, take);
+      }
+    } else {
+      for (const BlockZone& z : r.footer->footer.blocks) {
+        if (candidates.has_value() &&
+            (z.record_count == 0 ||
+             !candidates->overlaps(z.wid_min, z.wid_max))) {
+          ++out.blocks_skipped;
+          continue;
+        }
+        lines_of(read_v2_block_payload(r.file, z), take);
+        ++out.blocks_read;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_same_load(const Log& got, const SerialLoad& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.records.size()) << what;
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    const LogRecord& g = got.record(static_cast<Lsn>(i + 1));
+    const LogRecord& w = want.records[i];
+    ASSERT_TRUE(g.lsn == w.lsn && g.wid == w.wid && g.is_lsn == w.is_lsn &&
+                g.activity == w.activity && g.in == w.in && g.out == w.out)
+        << what << ": record " << i;
+  }
+  ASSERT_EQ(got.interner().size(), want.interner.size()) << what;
+  for (Symbol sym = 0; sym < want.interner.size(); ++sym) {
+    ASSERT_EQ(got.interner().name(sym), want.interner.name(sym))
+        << what << ": symbol " << sym;
+  }
+}
+
+/// The last segment the MANIFEST of `dir` names.
+std::string last_segment(const fs::path& dir) {
+  std::ifstream manifest(dir / "MANIFEST");
+  std::string line;
+  std::string last;
+  while (std::getline(manifest, line)) {
+    if (!line.empty()) last = line;
+  }
+  return last;
+}
+
+/// Sealed blocks enough to cross the load's parallel threshold on this
+/// host (2 per core), with margin.
+std::size_t parallel_block_count() {
+  return 4 * std::max<std::size_t>(2, std::thread::hardware_concurrency());
+}
+
+/// Appends `instances` instances with attributes named `prefix` + digit,
+/// so remapped attribute symbols are compared too, and a region's own
+/// prefix makes symbol ids depend on the order regions are interned in.
+/// Each instance's activities come from a window of the alphabet that
+/// drifts with `base`, so blooms differ.
+void fill_attributed(LogStore& store, std::size_t instances,
+                     std::size_t base, const std::string& prefix = "attr") {
+  for (std::size_t i = 0; i < instances; ++i) {
+    const Wid w = store.begin_instance();
+    const std::size_t k = (base + i) / 4;
+    const std::string a = kAlphabet[k % kAlphabet.size()];
+    const std::string b = kAlphabet[(k + 1) % kAlphabet.size()];
+    const std::string attr = prefix + std::to_string(k % 5);
+    store.record(w, a, {{"amount", Value(static_cast<std::int64_t>(i))}},
+                 {{attr, Value("v" + std::to_string(i % 3))}});
+    store.record(w, b, {{attr, Value(1.5)}});
+    if (i % 3 != 0) store.end_instance(w);
+  }
+}
+
+TEST_F(SegStoreTest, ParallelLoadEqualsSerialDecode) {
+  // A mixed store: v1 history, sealed v2 segments, a v1 segment after
+  // them, more sealed v2, an unsealed v2 tail and a pending buffer.
+  LogStore::Options v2 = fast_options();
+  v2.records_per_segment = 60;
+  v2.block_target_bytes = 256;  // a few records per block
+  LogStore::Options v1 = v2;
+  v1.segment_format = SegmentFormat::kV1Jsonl;
+  const std::size_t want_blocks = parallel_block_count();
+  {
+    LogStore store = LogStore::create(dir_, v1);
+    fill_attributed(store, 40, 0, "history");
+  }
+  {
+    LogStore store = LogStore::open(dir_, v2);
+    std::size_t base = 40;
+    while (store.storage_stats().sealed_blocks < want_blocks / 2) {
+      fill_attributed(store, 10, base, "sealed");
+      base += 10;
+    }
+  }
+  {
+    LogStore store = LogStore::open(dir_, v1);
+    store.end_instance(store.begin_instance());
+    // Rolls: the v1 segment is mid-store.
+    fill_attributed(store, 70, 1000, "middle");
+  }
+  LogStore store = LogStore::open(dir_, v2);
+  std::size_t base = 2000;
+  while (last_segment(dir_).ends_with(".jsonl") ||
+         store.storage_stats().sealed_blocks < want_blocks) {
+    fill_attributed(store, 10, base, "late");
+    base += 10;
+  }
+  fill_attributed(store, 7, base, "tail");  // unsealed tail blocks
+  store.sync();
+  store.begin_instance();  // one short record: stays in the pending buffer
+
+  const LogStore::StorageStats stats = store.storage_stats();
+  ASSERT_GE(stats.segments_v1, 2u);
+  ASSERT_GE(stats.sealed_blocks, want_blocks);
+
+  // What the live store loads, pending buffer included ...
+  const Log live = store.load();
+  std::vector<std::pair<std::vector<std::string>, LogStore::PrunedLoad>>
+      pruned;
+  const std::vector<std::vector<std::string>> requests = {
+      {}, {"Alpha"}, {"Charlie", "Delta"}, {"Hotel", "Alpha"}, {"Zulu"},
+      {"START"}};
+  for (const auto& req : requests) {
+    pruned.emplace_back(req, store.load_pruned(req));
+  }
+  // ... must be what the serial decode reads once the pending buffer is on
+  // disk as the tail's last block (same file order, same records).
+  const fs::path tail = dir_ / last_segment(dir_);
+  const auto before = fs::file_size(tail);
+  store.sync();
+  ASSERT_GT(fs::file_size(tail), before) << "no pending records were loaded";
+
+  expect_same_load(live, serial_load(dir_, {}), "load()");
+  expect_same_load(store.load(), serial_load(dir_, {}), "load() after sync");
+  std::size_t skipped = 0;
+  for (const auto& [req, got] : pruned) {
+    const SerialLoad want = serial_load(dir_, req);
+    std::string what = "load_pruned({";
+    for (const std::string& a : req) what += a + ",";
+    what += "})";
+    EXPECT_EQ(got.pruned, !req.empty()) << what;
+    EXPECT_EQ(got.blocks_total, stats.sealed_blocks) << what;
+    if (req.empty()) {
+      EXPECT_EQ(got.blocks_read, stats.sealed_blocks) << what;
+    } else {
+      EXPECT_EQ(got.blocks_read, want.blocks_read) << what;
+      EXPECT_EQ(got.blocks_skipped, want.blocks_skipped) << what;
+    }
+    EXPECT_EQ(got.records_kept, want.records.size()) << what;
+    if (want.records.empty()) {
+      EXPECT_TRUE(got.log.empty()) << what;
+    } else {
+      expect_same_load(got.log, want, what);
+    }
+    skipped += got.blocks_skipped;
+  }
+  EXPECT_GT(skipped, 0u);  // the requests really prune
+}
+
+/// Rewrites one zone of the sealed segment `seg` through `edit` and
+/// re-seals its footer with a valid CRC: a doctored, not a damaged, file.
+template <typename Edit>
+void doctor_zone(const fs::path& seg, std::size_t block, Edit edit) {
+  const std::string data = read_file(seg);
+  const std::optional<FooterRead> fr = try_read_v2_footer(data);
+  ASSERT_TRUE(fr.has_value());
+  SegmentFooter footer = fr->footer;
+  ASSERT_LT(block, footer.blocks.size());
+  edit(footer.blocks[block]);
+  write_file(seg, data.substr(0, fr->footer_start) + encode_v2_footer(footer));
+}
+
+std::string load_error(const LogStore& store,
+                       const std::vector<std::string>& required) {
+  try {
+    if (required.empty()) {
+      store.load();
+    } else {
+      store.load_pruned(required);
+    }
+  } catch (const IoError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST_F(SegStoreTest, ZoneRecordCountDisagreeingWithBlockIsCorruption) {
+  LogStore::Options options = fast_options();
+  options.records_per_segment = 80;
+  options.block_target_bytes = 512;
+  {
+    LogStore store = LogStore::create(dir_, options);
+    fill_attributed(store, 50, 0);
+  }
+  const fs::path seg = dir_ / "seg-000001.wfseg";
+  const std::optional<FooterRead> fr = try_read_v2_footer(read_file(seg));
+  ASSERT_TRUE(fr.has_value());
+  ASSERT_GE(fr->footer.blocks.size(), 3u);
+  const BlockZone zone = fr->footer.blocks[1];
+  ASSERT_GE(zone.record_count, 2u);
+  for (const std::uint32_t lie :
+       {zone.record_count + 1, zone.record_count - 1, 0xFFFFFFFFu}) {
+    doctor_zone(seg, 1, [&](BlockZone& z) { z.record_count = lie; });
+    LogStore store = LogStore::open(dir_, options);
+    const std::string where = "block at byte " +
+                              std::to_string(zone.file_offset) +
+                              " of segment '" + seg.string() + "'";
+    for (const auto& req : {std::vector<std::string>{},
+                            std::vector<std::string>{"START"}}) {
+      const std::string error = load_error(store, req);
+      EXPECT_NE(error.find(where), std::string::npos) << error;
+      EXPECT_NE(error.find("declares " + std::to_string(lie)),
+                std::string::npos)
+          << error;
+    }
+  }
+  doctor_zone(seg, 1,
+              [&](BlockZone& z) { z.record_count = zone.record_count; });
+  EXPECT_EQ(load_error(LogStore::open(dir_, options), {}), "no error");
+}
+
+TEST_F(SegStoreTest, EarliestCorruptBlockInFileOrderIsReported) {
+  LogStore::Options options = fast_options();
+  options.records_per_segment = 80;
+  options.block_target_bytes = 256;
+  const std::size_t want_blocks = parallel_block_count();
+  std::vector<std::pair<fs::path, BlockZone>> blocks;  // file order
+  {
+    LogStore store = LogStore::create(dir_, options);
+    std::size_t base = 0;
+    while (store.storage_stats().sealed_blocks < want_blocks) {
+      fill_attributed(store, 10, base);
+      base += 10;
+    }
+  }
+  {
+    std::ifstream manifest(dir_ / "MANIFEST");
+    std::string line;
+    std::getline(manifest, line);
+    std::getline(manifest, line);
+    while (std::getline(manifest, line)) {
+      const std::optional<FooterRead> fr =
+          try_read_v2_footer(read_file(dir_ / line));
+      if (!fr.has_value()) continue;
+      for (const BlockZone& z : fr->footer.blocks) {
+        blocks.emplace_back(dir_ / line, z);
+      }
+    }
+  }
+  ASSERT_GE(blocks.size(), want_blocks);
+  const std::string pristine = dir_.string() + "-pristine";
+  fs::remove_all(pristine);
+  fs::copy(dir_, pristine);
+  const std::size_t n = blocks.size();
+  // Pairs (k, j > k): same segment and different segments, near the
+  // start, middle and end; a damaged payload byte and a doctored count.
+  const std::vector<std::pair<std::size_t, std::size_t>> pairs = {
+      {0, 1}, {0, n - 1}, {n / 2, n / 2 + 1}, {1, n / 2}, {n - 2, n - 1}};
+  for (const auto& [k, j] : pairs) {
+    for (int kind = 0; kind < 2; ++kind) {
+      fs::remove_all(dir_);
+      fs::copy(pristine, dir_);
+      const auto damage = [&](std::size_t b) {
+        const auto& [seg, zone] = blocks[b];
+        if (kind == 0) {
+          std::string data = read_file(seg);
+          data[zone.file_offset + kSegV2BlockHeaderSize + 1] ^= 0x20;
+          write_file(seg, data);
+        } else {
+          std::size_t index = 0;
+          for (std::size_t i = 0; i < b; ++i) index += blocks[i].first == seg;
+          doctor_zone(seg, index,
+                      [](BlockZone& z) { ++z.record_count; });
+        }
+      };
+      damage(j);  // the later block first: report order is not damage order
+      damage(k);
+      const LogStore store = LogStore::open(dir_, options);
+      const std::string offset = std::to_string(blocks[k].second.file_offset);
+      for (int rep = 0; rep < 3; ++rep) {
+        const std::string error = load_error(store, {});
+        if (kind == 0) {
+          EXPECT_EQ(error,
+                    "segfmt: block payload CRC mismatch at byte " + offset)
+              << "k " << k << " j " << j;
+        } else {
+          EXPECT_NE(error.find("block at byte " + offset + " of segment '" +
+                               blocks[k].first.string() + "'"),
+                    std::string::npos)
+              << "k " << k << " j " << j << ": " << error;
+        }
+      }
+    }
+  }
+  fs::remove_all(pristine);
 }
 
 }  // namespace
