@@ -271,14 +271,13 @@ int main(int argc, char** argv) {
           std::filesystem::exists(std::filesystem::path(store_dir) /
                                   "MANIFEST");
       store = exists ? LogStore::open(store_dir) : LogStore::create(store_dir);
-      if (store->num_records() > 0) initial = store->load();
+      initial = store->load();
       const RecoveryReport& rec = store->recovery_report();
       for (const std::string& note : rec.notes) {
         std::cerr << "store recovery: " << note << "\n";
       }
     } else {
-      Log log = cli::load_log(log_path);
-      if (log.size() > 0) initial = std::move(log);
+      initial = cli::load_log(log_path);
     }
 
     // The daemon always keeps the request observer on (the /debug rings

@@ -24,6 +24,22 @@ LogMonitor::LogMonitor(MonitorOptions options) : options_(options) {
   end_sym_ = interner_.intern(kEndActivity);
 }
 
+LogMonitor::LogMonitor(const Log& seed, MonitorOptions options)
+    : options_(std::move(options)), interner_(seed.interner()) {
+  start_sym_ = interner_.intern(kStartActivity);
+  end_sym_ = interner_.intern(kEndActivity);
+  std::size_t open = 0;
+  for (const LogRecord& l : seed) {
+    if (l.is_lsn == 1) ++open;
+    if (advance_cursor(next_is_lsn_, l, l.activity == end_sym_) == 0) --open;
+  }
+  num_records_ = seed.size();
+  if (options_.keep_records) records_.assign(seed.begin(), seed.end());
+  WFLOG_TELEMETRY(t) {
+    t->monitor_open_instances->add(static_cast<double>(open));
+  }
+}
+
 std::size_t LogMonitor::compile_node(const Pattern& p, CompiledQuery& q) {
   CompiledNode node;
   node.op = p.op();
@@ -211,6 +227,7 @@ void LogMonitor::append_record(Wid wid, Symbol activity, AttrMap in,
   for (CompiledQuery& q : queries_) {
     feed(q, l);
   }
+  if (options_.on_record) options_.on_record(l);
   if (options_.keep_records) records_.push_back(std::move(l));
 }
 

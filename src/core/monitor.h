@@ -68,6 +68,10 @@ struct MonitorOptions {
   /// Invoked for every bad event (all policies), before it is thrown,
   /// dropped, or quarantined.
   std::function<void(const BadEvent&)> on_bad_event;
+  /// Invoked with every record the monitor appends, after the registered
+  /// queries have seen it: how a caller that keeps the log itself (with
+  /// keep_records off) takes the records the feed produced.
+  std::function<void(const LogRecord&)> on_record;
   /// Most recent quarantined events retained under kQuarantine; older ones
   /// are dropped (counted by num_quarantine_dropped()). 0 retains nothing.
   std::size_t quarantine_capacity = 1024;
@@ -83,6 +87,12 @@ class LogMonitor {
   };
 
   explicit LogMonitor(MonitorOptions options = {});
+  /// A monitor that continues `seed`: its alphabet, its records' count and
+  /// every instance's cursor (open instances take further records, ended
+  /// ones are bad events, new wids skip the used ones), as if the seed had
+  /// been fed — without feeding it. Its records are retained only under
+  /// keep_records, so a caller that already holds the log pays no copy.
+  LogMonitor(const Log& seed, MonitorOptions options);
 
   // ----- query management ----------------------------------------------
   /// Registers a pattern. Retained history is replayed first (requires
@@ -129,6 +139,9 @@ class LogMonitor {
   Log snapshot() const;
 
   std::size_t num_records() const noexcept { return num_records_; }
+  /// Names of every activity and attribute seen (the seed's and the
+  /// feed's); the Symbols of every appended record refer to it.
+  const Interner& interner() const noexcept { return interner_; }
   /// Events retained under BadEventPolicy::kQuarantine, in arrival order
   /// (at most MonitorOptions::quarantine_capacity; oldest dropped first).
   const std::deque<BadEvent>& quarantined() const noexcept {

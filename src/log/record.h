@@ -8,6 +8,7 @@
 
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -85,5 +86,15 @@ inline const AttrMap& alpha_out(const LogRecord& l) noexcept { return l.out; }
 /// record (is-lsn = 1) and a completed instance ends with an END record.
 inline constexpr std::string_view kStartActivity = "START";
 inline constexpr std::string_view kEndActivity = "END";
+
+/// A log writer's per-instance cursor: the is-lsn the instance's next
+/// record takes, 0 once it completed (an instance never seen has no
+/// entry). Advances `cursors` past `l` (`ended`: l is an END) and returns
+/// the new cursor. LogStore::open and a seeded LogMonitor rebuild their
+/// writer state from existing records through this one rule.
+inline IsLsn advance_cursor(std::unordered_map<Wid, IsLsn>& cursors,
+                            const LogRecord& l, bool ended) {
+  return cursors[l.wid] = ended ? 0 : l.is_lsn + 1;
+}
 
 }  // namespace wflog

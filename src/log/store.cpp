@@ -485,10 +485,9 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
             payload, scratch, [&](const LogRecord& l) {
               ++records_in_segment;
               ++store.num_records_;
-              const bool ended = scratch.name(l.activity) == kEndActivity;
-              const IsLsn next = ended ? 0 : l.is_lsn + 1;
-              store.next_is_lsn_[l.wid] = next;
-              last_watermark[l.wid] = next;
+              last_watermark[l.wid] = advance_cursor(
+                  store.next_is_lsn_, l,
+                  scratch.name(l.activity) == kEndActivity);
             });
       }
       store.tail_records_ = records_in_segment;
@@ -584,8 +583,8 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
       pos = line_end;
       ++records_in_segment;
       ++store.num_records_;
-      const bool ended = scratch.name(l.activity) == kEndActivity;
-      store.next_is_lsn_[l.wid] = ended ? 0 : l.is_lsn + 1;
+      advance_cursor(store.next_is_lsn_, l,
+                     scratch.name(l.activity) == kEndActivity);
     }
     store.tail_records_ = records_in_segment;
 
@@ -1132,8 +1131,10 @@ LogStore::PrunedLoad LogStore::load_pruned(
     t->store_blocks_skipped_total->add(out.blocks_skipped);
   }
   out.records_kept = records.size();
-  // A pruned load may rightly keep nothing; an empty store is not a Log.
-  out.log = out.pruned && records.empty()
+  // A pruned load may rightly keep nothing, and an empty store holds
+  // nothing: both give the empty log (Definition 2 rejects an empty record
+  // set, so it is built unvalidated).
+  out.log = records.empty()
                 ? Log::from_records_unchecked({}, std::move(interner))
                 : Log::from_records(std::move(records), std::move(interner));
   if (span.active()) {

@@ -166,7 +166,8 @@ class LogStore {
 
   // ----- reading ---------------------------------------------------------
   /// Materializes everything appended so far as a validated Log: the
-  /// unpruned case of load_pruned (records keep their stored lsns). Throws
+  /// unpruned case of load_pruned (records keep their stored lsns). An
+  /// empty store loads as the empty log, as load_pruned does. Throws
   /// IoError on any corrupt segment, block or record line, naming the
   /// earliest in file order.
   Log load() const;

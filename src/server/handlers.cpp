@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -236,23 +236,8 @@ QueryService::QueryService(std::optional<Log> initial, ServiceOptions options,
     co.shards = options_.cache_shards;
     cache_ = std::make_unique<ResultCache>(co);
   }
-  // Replay the initial log into the monitor so ingest continues its wid
-  // sequence. The replay asserts wid identity: LogMonitor assigns wids
-  // sequentially, so a log whose wids are not 1..N cannot be extended
-  // in-place — queries still work, ingest reports 409.
-  if (initial.has_value() && initial->size() > 0) {
-    try {
-      replay_into_monitor(*initial);
-    } catch (const std::exception& e) {
-      set_ingest_disabled(
-          std::string("initial log could not seed the monitor: ") + e.what());
-    }
-  }
-  last_bad_.clear();  // replay noise is not request-level bad events
-  last_bad_dropped_ = 0;
-
   // Only a durable mirror can fail structurally mid-flight; a store-less
-  // service has no degraded mode (its only failure is the 409 above).
+  // service has no degraded mode.
   if (store_.has_value()) {
     HealthOptions ho;
     ho.backoff_initial = std::chrono::milliseconds(
@@ -266,19 +251,22 @@ QueryService::QueryService(std::optional<Log> initial, ServiceOptions options,
   }
 
   // Initial snapshot straight from the given log (no revalidation); an
-  // empty service serves an empty log through the same engine.
+  // empty service serves an empty log through the same engine. The
+  // monitor continues it without a copy of its records.
   state_ = std::make_shared<const State>(
       std::move(initial).value_or(Log::from_records_unchecked({}, {})),
       options_.engine, version_seq_);
+  monitor_ = LogMonitor(state_->log, monitor_options());
 }
 
 MonitorOptions QueryService::monitor_options() {
   MonitorOptions mo;
-  mo.keep_records = true;  // snapshot() is the rebuild path
+  // The published snapshot holds the log; the monitor only checks events
+  // and numbers the records, which it hands over through on_record.
+  mo.keep_records = false;
+  mo.on_record = [this](const LogRecord& l) { staged_.push_back(l); };
   mo.bad_event_policy = options_.bad_event_policy;
   mo.quarantine_capacity = options_.quarantine_capacity;
-  mo.negation_matches_sentinels =
-      options_.engine.eval.negation_matches_sentinels;
   mo.on_bad_event = [this](const BadEvent& e) {
     // The per-request sink is capped like the monitor's quarantine ring: a
     // hostile ingest full of bad events must not grow memory unboundedly.
@@ -291,45 +279,9 @@ MonitorOptions QueryService::monitor_options() {
   return mo;
 }
 
-void QueryService::set_ingest_disabled(std::string reason) {
-  ingest_enabled_ = false;
-  std::lock_guard lock(ingest_reason_mu_);
-  ingest_disabled_reason_ = std::move(reason);
-}
-
-std::string QueryService::ingest_disabled_reason() const {
-  std::lock_guard lock(ingest_reason_mu_);
-  return ingest_disabled_reason_;
-}
-
 bool QueryService::delivery_interrupted() const {
   return (server_ != nullptr && server_->draining()) ||
          (drain_ && drain_->load());
-}
-
-void QueryService::replay_into_monitor(const Log& log) {
-  for (const LogRecord& l : log) {
-    const std::string_view name = log.activity_name(l.activity);
-    if (l.activity == log.start_symbol()) {
-      const Wid got = monitor_.begin_instance();
-      if (got != l.wid) {
-        throw Error("initial log wid " + std::to_string(l.wid) +
-                    " is not the monitor's next wid " + std::to_string(got));
-      }
-    } else if (l.activity == log.end_symbol()) {
-      monitor_.end_instance(l.wid);
-    } else {
-      NamedAttrs in;
-      NamedAttrs out;
-      for (const AttrEntry& e : l.in) {
-        in.emplace_back(log.interner().name(e.attr), e.value);
-      }
-      for (const AttrEntry& e : l.out) {
-        out.emplace_back(log.interner().name(e.attr), e.value);
-      }
-      monitor_.record(l.wid, name, in, out);
-    }
-  }
 }
 
 bool QueryService::recover_store(std::string* error) {
@@ -340,29 +292,20 @@ bool QueryService::recover_store(std::string* error) {
   }
   try {
     // Reopen from what is durably on disk (quarantining any corrupt
-    // suffix), then rebuild the monitor to match it exactly: acked
-    // records were fsynced before they were acked, so they all survive;
-    // at most the one unacked event that triggered the degrade (applied
-    // to the monitor but never to the store, never reported "applied")
-    // is dropped — which also heals any monitor/store divergence.
-    const RecoveryReport report = store_->reopen_in_place();
-    (void)report;
-    const Log durable = store_->load();
-    monitor_ = LogMonitor(monitor_options());
-    if (durable.size() > 0) replay_into_monitor(durable);
+    // suffix) and publish it: acked records were fsynced before they were
+    // acked, so they all survive. The monitor is re-seeded from it, which
+    // drops the one unacked event that triggered the degrade (applied to
+    // the monitor but never to the store, never reported "applied") and
+    // heals any monitor/store divergence.
+    store_->reopen_in_place();
+    publish(store_->load());  // strictly newer snapshot version
+    monitor_ = LogMonitor(state()->log, monitor_options());
     last_bad_.clear();
     last_bad_dropped_ = 0;
-    rebuild_state();  // strictly newer snapshot version
-    // Rebuilding the monitor dropped every standing query with it:
-    // re-register them against the durable replay and reconcile delivery
-    // (fed_raw skips the already-routed prefix), then resume.
-    reattach_subscriptions();
+    // Reconcile delivery against the durable snapshot (fed_raw skips the
+    // already-routed prefix), then resume.
+    resync_subscriptions();
     subs_.set_paused(false);
-    ingest_enabled_ = true;
-    {
-      std::lock_guard reason_lock(ingest_reason_mu_);
-      ingest_disabled_reason_.clear();
-    }
     return true;
   } catch (const std::exception& e) {
     if (error != nullptr) *error = e.what();
@@ -370,89 +313,101 @@ bool QueryService::recover_store(std::string* error) {
   }
 }
 
-namespace {
-
-/// Sorted-unique insert preserving the IncidentList canonical invariant.
-void insert_incident(IncidentList& list, const Incident& o) {
-  const auto it = std::lower_bound(list.begin(), list.end(), o);
-  if (it != list.end() && *it == o) return;
-  list.insert(it, o);
-}
-
-}  // namespace
-
-std::string QueryService::render_sub_event(const Query& parsed,
-                                           const Incident& incident,
-                                           const LogIndex& index) {
-  if (parsed.where != nullptr) {
-    // Filter with the UNOPTIMIZED pattern, exactly like the engine
-    // (bindings live on the parsed tree): streamed events and a batch
-    // /query of the same text must agree on every incident. The where
-    // verdict depends only on records at the incident's own positions,
-    // which are immutable once appended — so filtering against the
-    // newest snapshot is sound for incidents matched at any version.
-    IncidentSet one;
-    one.add_group(incident.wid(), IncidentList{incident});
-    const IncidentSet kept =
-        filter_where(one, *parsed.pattern, *parsed.where, index, nullptr);
-    if (kept.empty()) return {};
-  }
-  std::string json =
-      "\"wid\":" + std::to_string(incident.wid()) + ",\"positions\":[";
-  bool first = true;
-  for (const IsLsn n : incident.positions()) {
-    if (!first) json += ',';
-    first = false;
-    json += std::to_string(n);
-  }
-  json += ']';
-  return json;
-}
-
-void QueryService::route_matches(const std::vector<LogMonitor::Match>& raw,
-                                 const std::shared_ptr<const State>& st,
-                                 std::uint64_t old_version) {
-  const auto subs = subs_.live();
-  if (subs.empty()) return;
-
-  std::unordered_map<std::size_t, std::vector<const Incident*>> by_query;
-  for (const LogMonitor::Match& m : raw) {
-    by_query[m.query].push_back(&m.incident);
-  }
-
-  for (const auto& sub : subs) {
-    std::vector<std::string> events;
-    std::vector<const Incident*> delta;  // where-passing, for cache repair
-    std::uint64_t raw_count = 0;
-    if (const auto it = by_query.find(sub->monitor_id);
-        it != by_query.end()) {
-      raw_count = it->second.size();
-      events.reserve(it->second.size());
-      for (const Incident* o : it->second) {
-        std::string json =
-            render_sub_event(sub->parsed, *o, st->engine->index());
-        if (!json.empty()) {
-          events.push_back(std::move(json));
-          delta.push_back(o);
-        }
+std::vector<Incident> QueryService::standing_matches(
+    const State& st, const Pattern& pattern, std::span<const Wid> wids,
+    const State* before, const EvalGuard* guard, IncidentSet* full) {
+  // Definition 4: an incident never leaves its instance, so what a record
+  // adds to inc_L(p) is found by evaluating its instance again — with the
+  // engine's evaluator, so standing answers are batch answers.
+  const LogIndex& index = st.engine->index();
+  const Evaluator ev(index, st.engine->options().eval);
+  std::vector<std::pair<Lsn, Incident>> fresh;
+  for (const Wid wid : wids) {
+    if (guard != nullptr && guard->check()) break;
+    const std::size_t seen =
+        before != nullptr ? before->engine->index().instance_length(wid) : 0;
+    IncidentList list = ev.evaluate_instance(pattern, wid, nullptr, nullptr,
+                                             guard);
+    for (const Incident& o : list) {
+      if (o.last() > seen) {
+        fresh.emplace_back(index.find(wid, o.last())->lsn, o);
       }
     }
-    if (!subs_.enqueue(*sub, std::move(events), raw_count)) {
-      // Slow-consumer overflow: the registry already closed it; release
-      // the monitor query so its per-instance state stops growing.
-      monitor_.remove_query(sub->monitor_id);
-      continue;
+    if (full != nullptr && !list.empty()) {
+      full->add_group(wid, std::move(list));
+    }
+  }
+  // The order a record-at-a-time feed completes them in: by the record
+  // that closed each incident, then incident order.
+  std::sort(fresh.begin(), fresh.end());
+  std::vector<Incident> out;
+  out.reserve(fresh.size());
+  for (auto& [lsn, o] : fresh) out.push_back(std::move(o));
+  return out;
+}
+
+std::vector<std::string> QueryService::render_sub_events(
+    const Query& parsed, const std::vector<Incident>& raw, std::size_t from,
+    const LogIndex& index) {
+  std::vector<std::string> events;
+  for (std::size_t i = from; i < raw.size(); ++i) {
+    const Incident& incident = raw[i];
+    if (parsed.where != nullptr) {
+      // Filter with the UNOPTIMIZED pattern, exactly like the engine
+      // (bindings live on the parsed tree): streamed events and a batch
+      // /query of the same text must agree on every incident.
+      IncidentSet one;
+      one.add_group(incident.wid(), IncidentList{incident});
+      if (filter_where(one, *parsed.pattern, *parsed.where, index, nullptr)
+              .empty()) {
+        continue;
+      }
+    }
+    std::string json =
+        "\"wid\":" + std::to_string(incident.wid()) + ",\"positions\":[";
+    bool first = true;
+    for (const IsLsn n : incident.positions()) {
+      if (!first) json += ',';
+      first = false;
+      json += std::to_string(n);
+    }
+    json += ']';
+    events.push_back(std::move(json));
+  }
+  return events;
+}
+
+void QueryService::route_matches(const State& before, const State& st,
+                                 const std::vector<Wid>& touched) {
+  for (const auto& sub : subs_.live()) {
+    IncidentSet spliced;  // the touched instances' whole lists
+    const std::vector<Incident> raw = standing_matches(
+        st, *sub->parsed.pattern, touched, &before, nullptr, &spliced);
+    if (!subs_.enqueue(
+            *sub, render_sub_events(sub->parsed, raw, 0, st.engine->index()),
+            raw.size())) {
+      continue;  // slow-consumer overflow: the registry closed it
     }
 
     // Incremental cache repair: a complete cached result for this exact
-    // query at the pre-ingest version plus the monitor's delta IS the
-    // result at the new version (incremental == batch) — re-insert it
-    // under the new key instead of letting the ingest invalidate it.
+    // query at the pre-ingest version, with the touched instances' lists
+    // replaced by their lists now, IS the result at the new version
+    // (incremental == batch) — re-insert it under the new key instead of
+    // letting the ingest invalidate it.
     if (cache_ == nullptr || !cache_->enabled()) continue;
     RunLimits produced;
-    const auto old =
-        cache_->peek(ResultCache::key(sub->parsed, old_version), &produced);
+    const auto old = cache_->peek(
+        ResultCache::key(sub->parsed, before.version), &produced);
     if (old == nullptr || !old->ok() || !old->complete()) continue;
+    if (sub->parsed.where != nullptr) {
+      spliced = filter_where(spliced, *sub->parsed.pattern,
+                             *sub->parsed.where, st.engine->index(), nullptr);
+    }
+    std::unordered_map<Wid, const IncidentList*> now;  // null: no incident
+    for (const Wid wid : touched) now.emplace(wid, nullptr);
+    for (const IncidentSet::Group& g : spliced.groups()) {
+      now[g.wid] = &g.incidents;
+    }
     auto repaired = std::make_shared<QueryResult>();
     repaired->parsed = old->parsed;
     repaired->executed = old->executed;
@@ -464,52 +419,45 @@ void QueryService::route_matches(const std::vector<LogMonitor::Match>& raw,
     repaired->estimated_cost_after = old->estimated_cost_after;
     repaired->shards_used = old->shards_used;
     repaired->stop_reason = old->stop_reason;
-    std::map<Wid, IncidentList> merged;
-    for (const IncidentSet::Group& g : old->incidents.groups()) {
-      merged.emplace(g.wid, g.incidents);
+    // Groups in the snapshot's instance order, as the engine emits them;
+    // the old groups follow that order too (an ingest only appends).
+    auto old_group = old->incidents.groups().begin();
+    const auto old_end = old->incidents.groups().end();
+    for (const Wid wid : st.log.wids()) {
+      const IncidentList* list = nullptr;
+      if (old_group != old_end && old_group->wid == wid) {
+        list = &(old_group++)->incidents;
+      }
+      if (const auto it = now.find(wid); it != now.end()) list = it->second;
+      if (list != nullptr) repaired->incidents.add_group(wid, *list);
     }
-    for (const Incident* o : delta) {
-      insert_incident(merged[o->wid()], *o);
-    }
-    for (auto& [wid, incidents] : merged) {
-      repaired->incidents.add_group(wid, std::move(incidents));
-    }
-    cache_->insert(ResultCache::key(sub->parsed, st->version),
+    cache_->insert(ResultCache::key(sub->parsed, st.version),
                    std::move(repaired), produced);
     ++cache_repairs_;
   }
 }
 
-void QueryService::reattach_subscriptions() {
-  const auto subs = subs_.live();
-  if (subs.empty()) return;
+void QueryService::resync_subscriptions() {
   const auto st = state();
-  for (const auto& sub : subs) {
-    // Re-register on the fresh monitor; backfill replays the durable log
-    // deterministically, reproducing the exact raw match sequence the
-    // subscription already consumed — plus anything that became durable
-    // without having been routed yet. No guard: this history was already
-    // admitted once.
-    const std::size_t qid = monitor_.add_query(sub->parsed.pattern);
-    std::vector<LogMonitor::Match> raw = monitor_.drain(qid);
-    sub->monitor_id = qid;
+  for (const auto& sub : subs_.live()) {
+    // The durable snapshot's match sequence starts with exactly the raw
+    // matches the subscription already consumed — plus anything that
+    // became durable without having been routed yet. No guard: this
+    // history was already admitted once.
+    const std::vector<Incident> raw = standing_matches(
+        *st, *sub->parsed.pattern, st->log.wids(), nullptr, nullptr, nullptr);
     const std::uint64_t seen = sub->fed_raw;
     if (raw.size() < seen) {
-      // Defensive: the durable log replays FEWER matches than were routed
-      // — only possible if un-fsynced data was lost beyond the single
+      // Defensive: the durable log holds FEWER matches than were routed —
+      // only possible if un-fsynced data was lost beyond the single
       // in-flight event recovery guarantees. Realign and carry on.
       sub->fed_raw = raw.size();
       continue;
     }
-    std::vector<std::string> events;
-    for (std::size_t i = seen; i < raw.size(); ++i) {
-      std::string json = render_sub_event(sub->parsed, raw[i].incident,
-                                          st->engine->index());
-      if (!json.empty()) events.push_back(std::move(json));
-    }
-    if (!subs_.enqueue(*sub, std::move(events), raw.size() - seen)) {
-      monitor_.remove_query(qid);
-    }
+    subs_.enqueue(*sub,
+                  render_sub_events(sub->parsed, raw, seen,
+                                    st->engine->index()),
+                  raw.size() - seen);
   }
 }
 
@@ -520,13 +468,10 @@ std::shared_ptr<const QueryService::State> QueryService::state() const {
 
 std::size_t QueryService::num_records() const { return state()->log.size(); }
 
-void QueryService::rebuild_state() {
-  // Log::from_records rejects an empty record set (Definition 2), so a
-  // monitor with nothing retained publishes the empty log unvalidated.
-  auto fresh = std::make_shared<const State>(
-      monitor_.num_records() > 0 ? monitor_.snapshot()
-                                 : Log::from_records_unchecked({}, {}),
-      options_.engine, ++version_seq_);
+void QueryService::publish(Log log) {
+  auto fresh =
+      std::make_shared<const State>(std::move(log), options_.engine,
+                                    ++version_seq_);
   std::lock_guard lock(state_mu_);
   state_ = std::move(fresh);
 }
@@ -908,27 +853,24 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
         "retry-after", std::to_string(health_->retry_after_seconds()));
     return resp;
   }
-  if (!ingest_enabled_) {
-    return HttpResponse::error(409,
-                               "ingest disabled: " + ingest_disabled_reason());
-  }
 
   last_bad_.clear();
   last_bad_dropped_ = 0;
+  staged_.clear();
   std::size_t applied = 0;
   JsonArray new_wids;
   std::string abort_error;
   int abort_status = 0;
-  // Matches drained after each DURABLY applied event; routed to standing
-  // subscriptions once the new snapshot is published. Matches of an event
-  // whose store mirror failed are deliberately left queued — the degraded
-  // gate blocks ingest until recovery rebuilds the monitor (wiping them),
-  // so a non-durable incident can never be delivered.
-  std::vector<LogMonitor::Match> routed;
+  // The records of DURABLY applied events, taken from the monitor after
+  // each one; the next snapshot is the current one plus these. The record
+  // of an event whose store mirror failed stays behind in staged_ — the
+  // degraded gate blocks ingest until recovery re-seeds the monitor from
+  // the store, so a non-durable record is never published.
+  std::vector<LogRecord> appended;
   const auto collect = [&] {
-    std::vector<LogMonitor::Match> batch = monitor_.drain();
-    routed.insert(routed.end(), std::make_move_iterator(batch.begin()),
-                  std::make_move_iterator(batch.end()));
+    ++applied;
+    std::move(staged_.begin(), staged_.end(), std::back_inserter(appended));
+    staged_.clear();
   };
 
   for (const JsonValue& ev : events) {
@@ -954,7 +896,6 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
           }
         }
         new_wids.emplace_back(static_cast<std::int64_t>(wid));
-        ++applied;
         collect();
         continue;
       }
@@ -977,37 +918,30 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
         monitor_.record(wid, act->as_string(), in, out);
         if (monitor_.num_bad_events() == bad_before) {
           if (store_.has_value()) store_->record(wid, act->as_string(), in, out);
-          ++applied;
           collect();
         }
       } else if (kind == "end") {
         monitor_.end_instance(wid);
         if (monitor_.num_bad_events() == bad_before) {
           if (store_.has_value()) store_->end_instance(wid);
-          ++applied;
           collect();
         }
       } else {
         throw Error("unknown event op \"" + kind + "\"");
       }
     } catch (const IoError& e) {
-      // The durable mirror failed: the monitor and the store no longer
-      // agree, so stop accepting writes rather than silently diverging.
-      // With a health monitor this is the degraded-mode trigger — reads
+      // The durable mirror failed (only a store throws IoError, and a
+      // service with a store has a health monitor): the monitor and the
+      // store no longer agree, so stop accepting writes rather than
+      // silently diverging. This is the degraded-mode trigger — reads
       // keep working, recovery probes start, and the client gets a
-      // retryable 503; without one (store-less constructor failure modes)
-      // it stays the permanent 500 it always was.
+      // retryable 503.
       abort_error = e.what();
-      if (health_ != nullptr) {
-        health_->degrade(std::string("store append failed: ") + e.what());
-        // Pause standing-query delivery (events stay queued and acked
-        // cursors stay put); recovery reattaches and resumes.
-        subs_.set_paused(true);
-        abort_status = 503;
-      } else {
-        set_ingest_disabled(std::string("store append failed: ") + e.what());
-        abort_status = 500;
-      }
+      health_->degrade(std::string("store append failed: ") + e.what());
+      // Pause standing-query delivery (events stay queued and acked
+      // cursors stay put); recovery resyncs and resumes.
+      subs_.set_paused(true);
+      abort_status = 503;
       break;
     } catch (const std::exception& e) {
       // Bad event under kReject, or a malformed event object: abort the
@@ -1018,10 +952,19 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
     }
   }
 
-  if (applied > 0) {
-    const std::uint64_t old_version = version_seq_;
-    rebuild_state();
-    route_matches(routed, state(), old_version);
+  if (!appended.empty()) {
+    const auto before = state();
+    std::vector<Wid> touched;
+    for (const LogRecord& l : appended) touched.push_back(l.wid);
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    std::vector<LogRecord> records;
+    records.reserve(before->log.size() + appended.size());
+    records.assign(before->log.begin(), before->log.end());
+    std::move(appended.begin(), appended.end(), std::back_inserter(records));
+    publish(Log::from_records_unchecked(std::move(records),
+                                        monitor_.interner()));
+    route_matches(*before, *state(), touched);
   }
   ctx.eval_us = us_since(te0);  // monitor+store appends + snapshot rebuild
 
@@ -1039,11 +982,11 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
   }
   out.set("bad_events", std::move(bad));
   out.set("bad_events_dropped", last_bad_dropped_);
-  out.set("records", monitor_.num_records());
+  out.set("records", state()->log.size());
   if (abort_status != 0) {
     out.set("error", abort_error);
     HttpResponse resp = HttpResponse::json(abort_status, out.dump());
-    if (abort_status == 503 && health_ != nullptr) {
+    if (abort_status == 503) {
       resp.extra_headers.emplace_back(
           "retry-after", std::to_string(health_->retry_after_seconds()));
     }
@@ -1086,52 +1029,38 @@ HttpResponse QueryService::handle_subscribe(const HttpRequest& req,
 
   std::lock_guard lock(ingest_mu_);
   if (health_ != nullptr && !health_->writable()) {
-    // Degraded: the monitor may hold the one event whose durable mirror
-    // failed. Backfilling from it would misalign fed_raw against the
-    // durable replay recovery performs — register after recovery.
+    // Degraded: delivery is paused until recovery republishes the durable
+    // snapshot and resyncs every subscription — register after it.
     HttpResponse resp = HttpResponse::error(
         503, "subscribe unavailable: store is not writable");
     resp.extra_headers.emplace_back(
         "retry-after", std::to_string(health_->retry_after_seconds()));
     return resp;
   }
-  if (!ingest_enabled_) {
-    return HttpResponse::error(
-        409, "subscribe disabled: " + ingest_disabled_reason());
-  }
   if (subs_.size() >= subs_.options().max_subscriptions) {
     return HttpResponse::error(503, "subscription capacity reached");
   }
 
-  // Registration replays retained history through the fresh query under
-  // the request's own budget — a standing query starts with the exact
-  // match set a batch /query would report right now.
+  // Registration evaluates the current snapshot under the request's own
+  // budget — a standing query starts with the exact match set a batch
+  // /query would report right now, in the order the log completed it.
   const auto te0 = Clock::now();
-  EvalGuard guard(limits.deadline, limits.max_incidents, limits.cancel);
-  std::size_t qid = 0;
-  try {
-    qid = monitor_.add_query(parsed.pattern, &guard);
-  } catch (const Error& e) {
-    // Backfill tripped the budget; the monitor rolled the query back.
-    return HttpResponse::error(503, e.what());
-  }
-  std::vector<LogMonitor::Match> raw = monitor_.drain(qid);
-  ctx.eval_us = us_since(te0);
-
+  const EvalGuard guard(limits.deadline, limits.max_incidents, limits.cancel);
   const auto st = state();
-  std::vector<std::string> events;
-  events.reserve(raw.size());
-  for (const LogMonitor::Match& m : raw) {
-    std::string json =
-        render_sub_event(parsed, m.incident, st->engine->index());
-    if (!json.empty()) events.push_back(std::move(json));
+  const std::vector<Incident> raw = standing_matches(
+      *st, *parsed.pattern, st->log.wids(), nullptr, &guard, nullptr);
+  if (guard.stopped()) {
+    return HttpResponse::error(503, std::string("history replay stopped (") +
+                                        stop_reason_name(guard.reason()) +
+                                        ")");
   }
+  std::vector<std::string> events =
+      render_sub_events(parsed, raw, 0, st->engine->index());
+  ctx.eval_us = us_since(te0);
   const std::size_t matched = events.size();
-  auto sub =
-      subs_.create(query_text, parsed, canonical_key(*parsed.pattern), qid,
-                   raw.size(), std::move(events));
+  auto sub = subs_.create(query_text, parsed, canonical_key(*parsed.pattern),
+                          raw.size(), std::move(events));
   if (sub == nullptr) {
-    monitor_.remove_query(qid);
     return HttpResponse::error(503, "subscription capacity reached");
   }
 
@@ -1181,7 +1110,6 @@ HttpResponse QueryService::handle_subscription(const HttpRequest& req,
     if (sub == nullptr) {
       return HttpResponse::error(404, "no such subscription: " + id);
     }
-    monitor_.remove_query(sub->monitor_id);
     subs_.close(id, "unsubscribed");
     JsonValue out;
     out.set("id", id);
@@ -1313,8 +1241,10 @@ HttpResponse QueryService::handle_stats(const HttpRequest&) const {
   const auto st = state();
   out.set("records", st->log.size());
   out.set("instances", st->log.wids().size());
-  out.set("ingest_enabled", ingest_enabled_.load());
-  out.set("ingest_disabled_reason", ingest_disabled_reason());
+  const bool writable = health_ == nullptr || health_->writable();
+  out.set("ingest_enabled", writable);
+  out.set("ingest_disabled_reason",
+          writable ? std::string() : health_->stats().last_error);
   out.set("snapshot_version", static_cast<std::int64_t>(st->version));
   {
     const SubscribeStats ss = subs_.stats();
@@ -1455,7 +1385,7 @@ HttpResponse QueryService::handle_healthz(const HttpRequest& req) const {
               ? JsonValue(static_cast<std::int64_t>(
                     server_->stats().queue_depth))
               : JsonValue(nullptr));
-  out.set("ingest_enabled", ingest_enabled_.load());
+  out.set("ingest_enabled", health_ == nullptr || health_->writable());
   if (health_ != nullptr) {
     const HealthStats hs = health_->stats();
     JsonValue h;

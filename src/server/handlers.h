@@ -1,14 +1,17 @@
 #pragma once
 
-// QueryService — wfqd's application layer: owns the live log (a LogMonitor
-// fed by POST /ingest, optionally mirrored into a durable LogStore) and a
-// QueryEngine over the latest snapshot, and binds the HTTP endpoints:
+// QueryService — wfqd's application layer: owns the live log (the
+// published snapshot, grown by POST /ingest and optionally mirrored into a
+// durable LogStore) with a QueryEngine over it, and binds the HTTP
+// endpoints:
 //
 //   POST /query    one pattern [+ where], per-request deadline/max-incidents
 //                  mapped onto EvalGuard via RunLimits
 //   POST /batch    N queries through run_batch (shared canonical subplans)
 //   POST /ingest   append begin/record/end events (monitor bad-event policy;
 //                  applied events are durably mirrored to the store)
+//   POST /subscribe, GET|DELETE /subscribe/{id}  standing queries
+//                  (server/subscribe.h)
 //   GET  /metrics  Prometheus text of the ambient MetricsRegistry, plus the
 //                  request observer's per-endpoint/per-pattern histograms
 //   GET  /stats    engine + store + server counters as JSON
@@ -17,6 +20,14 @@
 //   GET  /version  build info (version, obs support, compiler)
 //   GET  /debug/requests  last-N request summaries (request observer ring)
 //   GET  /debug/slow      captured slow queries with plans + span summaries
+//
+// One live path: every question — /query, /batch, standing queries, cache
+// repair — is answered from the published snapshot with the engine's
+// evaluator. The LogMonitor here keeps no records and runs no query: it
+// checks events (bad-event policy, quarantine) and numbers them (wid,
+// is-lsn, lsn), and hands over the records it appends. The next snapshot
+// is the previous one plus the records of the request's DURABLY applied
+// events, so a record whose store mirror failed is never published.
 //
 // Concurrency model: queries share an immutable snapshot (shared_ptr<const
 // State>) and run lock-free against it; ingest is serialized by a mutex,
@@ -30,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,8 +117,9 @@ struct ServiceOptions {
 
 class QueryService {
  public:
-  /// Serves `initial` (replayed into the monitor so ingest continues its
-  /// wid sequence). With a store, ingested events are mirrored durably;
+  /// Serves `initial` (the monitor is seeded from it, so ingest continues
+  /// its wid and is-lsn sequences). With a store, ingested events are
+  /// mirrored durably;
   /// the store's log must equal `initial` (wfqd opens the store and loads
   /// it). `drain` comes from the HttpServer so in-flight evaluations stop
   /// when the drain grace period expires.
@@ -157,16 +170,15 @@ class QueryService {
   };
 
   std::shared_ptr<const State> state() const;
-  void rebuild_state();
+  /// Publishes `log` as the next snapshot (a strictly newer version).
+  /// Caller holds ingest_mu_ (or is the constructor).
+  void publish(Log log);
   RunLimits limits_from(const class JsonValue& body) const;
   MonitorOptions monitor_options();
-  /// Feeds `log` through the monitor event-by-event, asserting wid
-  /// identity (LogMonitor assigns wids sequentially). Throws on mismatch.
-  void replay_into_monitor(const Log& log);
   /// HealthMonitor's RecoverFn: under ingest_mu_, reopens the store in
-  /// place (quarantine recovery), rebuilds the monitor from the durable
-  /// log, and republishes the snapshot. False + *error when the store is
-  /// still unreadable.
+  /// place (quarantine recovery), publishes the durable log, re-seeds the
+  /// monitor from it and resyncs the subscriptions. False + *error when
+  /// the store is still unreadable.
   bool recover_store(std::string* error);
 
   HttpResponse handle_query(const HttpRequest& req, RequestContext& ctx);
@@ -183,23 +195,32 @@ class QueryService {
   HttpResponse handle_debug_requests(const HttpRequest& req) const;
   HttpResponse handle_debug_slow(const HttpRequest& req) const;
 
-  /// Renders a raw monitor match into the subscribe event JSON, or empty
-  /// when the subscription's where clause rejects it. `index` must belong
-  /// to a snapshot containing the incident's positions.
-  static std::string render_sub_event(const Query& parsed,
-                                      const Incident& incident,
-                                      const LogIndex& index);
-  /// Routes freshly drained monitor matches to their subscriptions
-  /// (where-filtering against `st`) and repairs cached entries for the
-  /// subscribed queries from old_version to st->version. Caller holds
-  /// ingest_mu_; `st` is the snapshot just published.
-  void route_matches(const std::vector<LogMonitor::Match>& raw,
-                     const std::shared_ptr<const State>& st,
-                     std::uint64_t old_version);
-  /// Re-registers every live subscription on the freshly rebuilt monitor
-  /// (recovery path) and reconciles delivery via Subscription::fed_raw.
-  /// Caller holds ingest_mu_.
-  void reattach_subscriptions();
+  /// The one standing-query step (registration, ingest, recovery):
+  /// evaluates `pattern` on the instances `wids` of `st` with the engine's
+  /// evaluator and returns the incidents that end past each instance's
+  /// length in `before` (null: all of them), ordered by the lsn of each
+  /// incident's last record, then incident order — the order the log
+  /// completed them. `full`, when given, receives each instance's whole
+  /// list. A tripped guard stops early; the caller checks it.
+  static std::vector<Incident> standing_matches(
+      const State& st, const Pattern& pattern, std::span<const Wid> wids,
+      const State* before, const EvalGuard* guard, IncidentSet* full);
+  /// Renders raw[from..] into subscribe event JSON, dropping the incidents
+  /// the subscription's where clause rejects. `index` must belong to a
+  /// snapshot containing the incidents' positions.
+  static std::vector<std::string> render_sub_events(
+      const Query& parsed, const std::vector<Incident>& raw,
+      std::size_t from, const LogIndex& index);
+  /// Delivers what an ingest added in the `touched` instances (sorted,
+  /// unique) between `before` and `st` to every subscription, and repairs
+  /// the cached entries of the subscribed queries from before.version to
+  /// st.version. Caller holds ingest_mu_.
+  void route_matches(const State& before, const State& st,
+                     const std::vector<Wid>& touched);
+  /// Re-evaluates every live subscription on the durable snapshot just
+  /// published (recovery path) and delivers what it has not been fed
+  /// (Subscription::fed_raw). Caller holds ingest_mu_.
+  void resync_subscriptions();
   /// True while a streaming/long-polling consumer should stop waiting.
   bool delivery_interrupted() const;
 
@@ -216,10 +237,14 @@ class QueryService {
   /// Mutable: handle_stats (const) must hold it while reading the store's
   /// segment/zone vectors, which ingest grows concurrently.
   mutable std::mutex ingest_mu_;
-  /// Next snapshot version (mutated in rebuild_state, which runs from the
-  /// constructor and then only under ingest_mu_).
+  /// Next snapshot version (mutated in publish, under ingest_mu_).
   std::uint64_t version_seq_ = 1;
+  /// Event checks and numbering only: seeded from the snapshot, keeps no
+  /// records, registers no query.
   LogMonitor monitor_;
+  /// Records the monitor appended for the current event (on_record sink),
+  /// under ingest_mu_; taken once the event is durably applied.
+  std::vector<LogRecord> staged_;
   std::optional<LogStore> store_;
   /// Degraded-mode machine (see health.h); created iff store_ is set.
   /// Declared after store_ so its recovery thread is stopped (by the
@@ -227,24 +252,11 @@ class QueryService {
   std::unique_ptr<HealthMonitor> health_;
   std::vector<BadEvent> last_bad_;  // callback sink, under ingest_mu_
   std::size_t last_bad_dropped_ = 0;  // beyond last_bad_cap, under ingest_mu_
-  /// Atomic so /stats can read it without taking ingest_mu_ (which an
-  /// ingest holding the store open could pin for a while). Writes stay
-  /// under ingest_mu_.
-  std::atomic<bool> ingest_enabled_{true};
-  /// The human-readable reason behind ingest_enabled_ == false. Guarded by
-  /// its own leaf mutex (NOT ingest_mu_) so /stats can snapshot it without
-  /// waiting behind a long ingest — writers hold ingest_mu_ AND take this.
-  mutable std::mutex ingest_reason_mu_;
-  std::string ingest_disabled_reason_;
-
   /// Standing queries (server/subscribe.h). The registry has its own
-  /// mutex; monitor-coupled mutations stay under ingest_mu_.
+  /// mutex; create/enqueue/close run under ingest_mu_.
   SubscriptionRegistry subs_;
   /// Cache entries repaired in place on ingest (subscribed queries only).
   std::atomic<std::uint64_t> cache_repairs_{0};
-
-  void set_ingest_disabled(std::string reason);  // under ingest_mu_
-  std::string ingest_disabled_reason() const;
 };
 
 }  // namespace wflog::server

@@ -190,11 +190,14 @@ void HttpServer::start() {
   for (std::size_t i = 0; i < options_.threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+  // A shutdown requested before the wake pipe existed (a signal during
+  // boot, possibly on another thread) wrote no wake byte: write it now.
+  if (draining_.load()) request_shutdown();
 }
 
 void HttpServer::request_shutdown() noexcept {
-  // Signal-handler safe: one relaxed store + one pipe write, nothing else.
-  draining_.store(true, std::memory_order_relaxed);
+  // Signal-handler safe: one atomic store + one pipe write, nothing else.
+  draining_.store(true);
   if (wake_pipe_[1] >= 0) {
     const char byte = 'q';
     [[maybe_unused]] const ::ssize_t n = ::write(wake_pipe_[1], &byte, 1);

@@ -117,7 +117,8 @@ class HttpServer {
   std::uint16_t port() const noexcept { return port_; }
 
   /// Initiates graceful shutdown; safe from any thread AND from a signal
-  /// handler (one atomic store + one pipe write).
+  /// handler (one atomic store + one pipe write). Honoured also when it
+  /// comes before start(): the server then starts straight into drain.
   void request_shutdown() noexcept;
   /// Blocks until the server has fully drained and every thread joined.
   void wait();

@@ -34,8 +34,7 @@ SubscriptionRegistry::SubscriptionRegistry(SubscribeOptions options)
 
 std::shared_ptr<Subscription> SubscriptionRegistry::create(
     std::string query_text, Query parsed, std::string cache_key_base,
-    std::size_t monitor_id, std::uint64_t fed_raw,
-    std::vector<std::string> initial_events) {
+    std::uint64_t fed_raw, std::vector<std::string> initial_events) {
   std::lock_guard lock(mu_);
   if (subs_.size() >= options_.max_subscriptions) return nullptr;
   auto sub = std::make_shared<Subscription>();
@@ -43,7 +42,6 @@ std::shared_ptr<Subscription> SubscriptionRegistry::create(
   sub->query_text = std::move(query_text);
   sub->parsed = std::move(parsed);
   sub->cache_key_base = std::move(cache_key_base);
-  sub->monitor_id = monitor_id;
   sub->fed_raw = fed_raw;
   for (std::string& json : initial_events) {
     sub->pending.push_back(SubEvent{sub->next_seq++, std::move(json)});

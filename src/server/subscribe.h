@@ -3,17 +3,21 @@
 // SubscriptionRegistry — wfqd's standing-query state (the server half of
 // "incremental == batch", ROADMAP item 3).
 //
-// A subscription pairs one registered LogMonitor query with a durable
-// per-client event queue:
+// A subscription pairs one parsed query with a durable per-client event
+// queue. QueryService evaluates it on the snapshots it publishes: the
+// whole snapshot at registration, and after each /ingest the instances
+// the request touched (Definition 4: an incident never leaves its
+// instance), delivering the incidents that end in the new records.
 //
 //   POST /subscribe          register pattern [+ where]; history is
-//                            replayed (LogMonitor backfill) so the event
-//                            stream is identical to having subscribed
-//                            before the first record
+//                            delivered first, in the order the log
+//                            completed it, so the event stream is
+//                            identical to having subscribed before the
+//                            first record
 //   GET  /subscribe/{id}     long-poll (?wait_ms=) or chunked stream
 //                            (?stream=1); ?after=N acknowledges events
 //                            with seq <= N (they are then released)
-//   DELETE /subscribe/{id}   unsubscribe, releasing all monitor state
+//   DELETE /subscribe/{id}   unsubscribe, releasing its queue
 //
 // Delivery contract (exactly-once): every event carries a per-subscription
 // monotonically increasing `seq`. Events are RETAINED until acknowledged
@@ -25,17 +29,17 @@
 // terminal "overflow" event rather than growing without bound.
 //
 // Threading: one registry mutex guards all subscription state (low
-// contention — events are enqueued once per applied ingest event). The
-// LogMonitor itself is NOT touched here: registration, feeding, and
-// removal of monitor queries stay in QueryService under ingest_mu_, which
-// also serializes create()/route()/close(). Lock order is always
+// contention — events are enqueued once per applied ingest request).
+// Evaluation happens in QueryService under ingest_mu_, which also
+// serializes create()/enqueue()/close(). Lock order is always
 // ingest_mu_ -> registry mutex, never the reverse: poll()/stream() take
 // only the registry mutex, so delivery never blocks ingest.
 //
 // Degraded mode: set_paused(true) (store failure) stops event delivery —
 // streams emit only heartbeats, polls return empty with "paused": true —
-// while every queued event is retained; recovery re-registers the monitor
-// queries, reconciles via Subscription::fed_raw, and resumes delivery.
+// while every queued event is retained; recovery re-evaluates every
+// subscription on the durable snapshot, reconciles via
+// Subscription::fed_raw, and resumes delivery.
 
 #include <condition_variable>
 #include <cstdint>
@@ -76,14 +80,11 @@ struct Subscription {
   std::string query_text;  // as registered
   Query parsed;            // pattern [+ where]; where is filtered on feed
   std::string cache_key_base;  // canonical cache identity (version-free)
-  /// LogMonitor::QueryId currently backing this subscription; REASSIGNED
-  /// after store recovery (the monitor is rebuilt wholesale).
-  std::size_t monitor_id = 0;
-  /// Raw monitor matches routed to this subscription so far, counted
-  /// BEFORE where-filtering. Recovery replays the durable log through a
-  /// fresh monitor and skips exactly this many backfill matches — the
-  /// replay is deterministic, so the skip re-aligns the streams without
-  /// re-delivering (or losing) anything.
+  /// Raw matches routed to this subscription so far, counted BEFORE
+  /// where-filtering. Matches are routed in the order the log completed
+  /// them, so recovery re-evaluates the durable snapshot and skips exactly
+  /// this many — re-aligning the stream without re-delivering (or losing)
+  /// anything.
   std::uint64_t fed_raw = 0;
   std::uint64_t next_seq = 1;  // seq the next event will get
   std::deque<SubEvent> pending;  // retained until acked via ?after=
@@ -123,13 +124,12 @@ class SubscriptionRegistry {
   SubscriptionRegistry(const SubscriptionRegistry&) = delete;
   SubscriptionRegistry& operator=(const SubscriptionRegistry&) = delete;
 
-  /// Registers a subscription whose monitor query is already backfilled;
-  /// `initial_events` are the where-filtered historical matches (they get
-  /// seqs 1..N). `fed_raw` counts the PRE-filter backfill matches.
-  /// Returns nullptr at max_subscriptions. Caller holds ingest_mu_.
+  /// Registers a subscription; `initial_events` are the where-filtered
+  /// historical matches (they get seqs 1..N). `fed_raw` counts the
+  /// PRE-filter historical matches. Returns nullptr at max_subscriptions.
+  /// Caller holds ingest_mu_.
   std::shared_ptr<Subscription> create(std::string query_text, Query parsed,
                                        std::string cache_key_base,
-                                       std::size_t monitor_id,
                                        std::uint64_t fed_raw,
                                        std::vector<std::string> initial_events);
 
@@ -137,14 +137,14 @@ class SubscriptionRegistry {
   /// shared state — mutate it only through registry methods.)
   std::shared_ptr<Subscription> find(const std::string& id) const;
 
-  /// Live subscriptions, for ingest routing and recovery re-registration.
+  /// Live subscriptions, for ingest routing and recovery resync.
   /// Caller holds ingest_mu_ (the set is stable only under it).
   std::vector<std::shared_ptr<Subscription>> live() const;
 
   /// Appends where-filtered events to `sub` (assigning seqs) and counts
   /// `raw` pre-filter matches against fed_raw. Returns false when the
-  /// pending cap was hit: the subscription is closed ("overflow") and the
-  /// caller must release its monitor query. Caller holds ingest_mu_.
+  /// pending cap was hit: the subscription is closed ("overflow").
+  /// Caller holds ingest_mu_.
   bool enqueue(Subscription& sub, std::vector<std::string> events,
                std::uint64_t raw);
 

@@ -6,6 +6,9 @@
 #   * valid --shards values (0 = hardware concurrency, K) still work
 #   * the retired batch thread knobs (wfq batch --threads N, wfqd
 #     --batch-threads N) are accepted, ignored, and print a note
+#   * wfq reads a store with no records as the empty log, whatever the
+#     pattern (a required-activity set or none): no match (exit 1), not
+#     an I/O error (exit 3)
 #
 # Usage: tests/cli_flags_test.sh path/to/wfq path/to/wfqd
 set -eu
@@ -72,5 +75,27 @@ until grep -q "listening" "$tmp/stdout"; do
 done
 grep -q "note: --batch-threads is ignored" "$tmp/stderr" ||
   fail "wfqd: no --batch-threads note"
+
+kill "$pid"
+wait "$pid" || true
+pid=
+
+# An empty store: wfqd creates it; no ingest ever lands.
+"$wfqd" --store "$tmp/empty" --port 0 >"$tmp/stdout" 2>"$tmp/stderr" &
+pid=$!
+i=0
+until grep -q "listening" "$tmp/stdout"; do
+  i=$((i + 1))
+  [ "$i" -lt 100 ] || fail "wfqd --store did not start"
+  sleep 0.1
+done
+kill "$pid"
+wait "$pid" || true
+pid=
+for pattern in 'GetRefer | SeeDoctor' 'GetRefer'; do
+  expect_exit 1 "$wfq" query "$tmp/empty/" "$pattern"
+  grep -q "^0 incident(s)" "$tmp/stdout" ||
+    fail "wfq query emptystore/ '$pattern': no empty answer"
+done
 
 echo "cli_flags_test: OK"

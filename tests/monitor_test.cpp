@@ -168,6 +168,51 @@ TEST(MonitorTest, LateQueryWithoutRetentionThrows) {
   EXPECT_THROW(mon.snapshot(), Error);
 }
 
+TEST(MonitorTest, SeededMonitorContinuesItsLog) {
+  // Seeding continues a log exactly as feeding it would have: the same
+  // next wid, is-lsns and lsns, the same bad events — without a record
+  // copy, and with every appended record handed to on_record.
+  const Log seed = testing::make_log("a b ; c ... ; d ...");
+  std::vector<LogRecord> taken;
+  MonitorOptions opts;
+  opts.keep_records = false;
+  opts.bad_event_policy = BadEventPolicy::kSkip;
+  opts.on_record = [&](const LogRecord& l) { taken.push_back(l); };
+  LogMonitor seeded(seed, opts);
+
+  MonitorOptions fed_opts;
+  fed_opts.bad_event_policy = BadEventPolicy::kSkip;
+  LogMonitor fed(fed_opts);
+  for (const LogRecord& l : seed) {
+    if (l.activity == seed.start_symbol()) {
+      ASSERT_EQ(fed.begin_instance(), l.wid);
+    } else if (l.activity == seed.end_symbol()) {
+      fed.end_instance(l.wid);
+    } else {
+      fed.record(l.wid, seed.activity_name(l.activity));
+    }
+  }
+  EXPECT_EQ(seeded.num_records(), fed.num_records());
+
+  for (LogMonitor* m : {&seeded, &fed}) {
+    EXPECT_EQ(m->begin_instance(), 4u);
+    m->record(2, "x");  // open: continues at is-lsn 3
+    m->record(1, "x");  // ended: a bad event
+    m->end_instance(3);
+    EXPECT_EQ(m->num_bad_events(), 1u);
+  }
+  EXPECT_EQ(seeded.num_records(), fed.num_records());
+  const Log grown = fed.snapshot();
+  ASSERT_EQ(taken.size(), 3u);
+  for (const LogRecord& l : taken) {
+    const LogRecord& want = grown.record(l.lsn);
+    EXPECT_EQ(l.wid, want.wid);
+    EXPECT_EQ(l.is_lsn, want.is_lsn);
+    EXPECT_EQ(seeded.interner().name(l.activity),
+              grown.activity_name(want.activity));
+  }
+}
+
 TEST(MonitorTest, RemoveQueryStopsReporting) {
   LogMonitor mon;
   const auto q = mon.add_query("a");

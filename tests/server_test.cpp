@@ -1120,6 +1120,36 @@ TEST(ServerTest, GracefulDrainCancelsInFlightEvaluation) {
                IoError);
 }
 
+TEST(ServerTest, ShutdownRequestedBeforeStartIsHonoured) {
+  // A SIGTERM that reaches wfqd while it boots calls request_shutdown()
+  // before start(): the server must still drain and wait() must return.
+  server::Router router;
+  router.add("GET", "/ping",
+             [](const server::HttpRequest&, server::RequestContext&) {
+               return server::HttpResponse::text(200, "pong");
+             });
+  server::ServerOptions opts;
+  opts.port = 0;
+  server::HttpServer http(std::move(router), std::move(opts));
+  http.request_shutdown();
+  http.start();
+
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    http.wait();
+    returned = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!returned && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(returned) << "wait() ignored a shutdown requested before start()";
+  if (!returned) http.request_shutdown();  // unblock, so the test ends
+  waiter.join();
+  EXPECT_THROW(server::HttpClient("127.0.0.1", http.port()).get("/ping"),
+               IoError);
+}
+
 // ----- ingest -------------------------------------------------------------
 
 std::string ingest_events() {

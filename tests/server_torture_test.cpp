@@ -655,6 +655,9 @@ TEST(ServerTortureTest, CrashDuringSessionLosesNoAckedRecords) {
       // mirrors the monitor: the next begin gets "acked begins" + 1.
       std::int64_t acked = 0;
       int begun = 0;
+      // Snapshots the ingests published: one per request that durably
+      // applied anything.
+      std::int64_t published = 0;
       const auto ingest_next = [&]() -> server::ClientResponse {
         const server::ClientResponse r =
             c.post("/ingest", ingest_one(begun + 1));
@@ -662,11 +665,18 @@ TEST(ServerTortureTest, CrashDuringSessionLosesNoAckedRecords) {
         const server::JsonValue* applied = body.find("applied");
         if (applied != nullptr) {
           acked += applied->as_int();
-          if (applied->as_int() >= 1) ++begun;
+          if (applied->as_int() >= 1) {
+            ++begun;
+            ++published;
+          }
         }
         return r;
       };
       ASSERT_EQ(ingest_next().status, 200);
+      // Read while healthy, with no other writer: a defined version.
+      const std::int64_t healthy_version =
+          cs.healthz_json(c).find("snapshot_version")->as_int();
+      published = 0;
 
       FaultIo::Fault fault;
       fault.at_op = disk->ops() + crash_after;
@@ -687,8 +697,11 @@ TEST(ServerTortureTest, CrashDuringSessionLosesNoAckedRecords) {
       }
       ASSERT_TRUE(crashed) << "crash fault never fired";
 
-      const std::int64_t degraded_version =
-          cs.healthz_json(c).find("snapshot_version")->as_int();
+      // The last snapshot before recovery's. Computed, not read: recovery
+      // may already have republished by the time a /healthz could answer
+      // (reopening a store whose tail is sealed needs no write, so it can
+      // succeed before the fault is cleared).
+      const std::int64_t degraded_version = healthy_version + published;
 
       // Power restored: recovery reopens through quarantine and republishes.
       disk->clear_fault();
@@ -716,6 +729,86 @@ TEST(ServerTortureTest, CrashDuringSessionLosesNoAckedRecords) {
       fs::remove_all(dir);
     }
   }
+}
+
+// A request that fails part-way publishes only what became durable: the
+// record whose store mirror failed is in no snapshot, no answer and no
+// "records" count, while degraded or after recovery.
+TEST(ServerTortureTest, PartlyFailedIngestPublishesOnlyDurableRecords) {
+  const fs::path dir = fresh_dir("partial");
+  auto disk = std::make_shared<FaultIo>();
+  ChaosServer cs(std::nullopt, LogStore::create(dir, chaos_store_options(disk)),
+                 disk);
+  server::HttpClient c = cs.client();
+  ASSERT_EQ(c.post("/ingest", ingest_one(1)).status, 200);  // 3 records
+
+  // Fail the store from the 4th op on: ingest_one(2)'s begin lands, its
+  // record does not.
+  FaultIo::Fault fault;
+  fault.at_op = disk->ops() + 4;
+  fault.kind = FaultIo::Fault::Kind::kError;
+  fault.count = FaultIo::Fault::kSticky;
+  disk->set_fault(fault);
+  const server::ClientResponse r = c.post("/ingest", ingest_one(2));
+  ASSERT_EQ(r.status, 503) << r.body;
+  const server::JsonValue body = server::parse_json(r.body);
+  ASSERT_EQ(body.find("applied")->as_int(), 1) << r.body;
+  const std::int64_t acked = 4;
+  EXPECT_EQ(body.find("records")->as_int(), acked) << r.body;
+
+  const auto check_published = [&](const char* phase) {
+    const server::JsonValue h = cs.healthz_json(c);
+    EXPECT_EQ(h.find("records")->as_int(), acked) << phase;
+    const server::ClientResponse q = c.post("/query", R"({"query": "a"})");
+    ASSERT_EQ(q.status, 200) << q.body;
+    const server::JsonValue v = server::parse_json(q.body);
+    EXPECT_EQ(v.find("total")->as_int(), 1) << phase << ": " << q.body;
+    for (const server::JsonValue& g : v.find("incidents")->as_array()) {
+      EXPECT_EQ(g.find("wid")->as_int(), 1) << phase << ": " << q.body;
+    }
+  };
+  check_published("degraded");
+
+  disk->clear_fault();
+  ASSERT_TRUE(cs.await_state("healthy"));
+  check_published("recovered");
+
+  cs.http->shutdown();
+  cs.service.reset();
+  fs::remove_all(dir);
+}
+
+// A fault on the very first ingest leaves an empty store behind; recovery
+// must publish it (the empty log) and return to healthy.
+TEST(ServerTortureTest, FaultOnFirstIngestRecoversToEmptyHealthy) {
+  const fs::path dir = fresh_dir("first-ingest");
+  auto disk = std::make_shared<FaultIo>();
+  ChaosServer cs(std::nullopt, LogStore::create(dir, chaos_store_options(disk)),
+                 disk);
+  server::HttpClient c = cs.client();
+
+  FaultIo::Fault fault;
+  fault.at_op = disk->ops() + 1;
+  fault.kind = FaultIo::Fault::Kind::kError;
+  fault.count = FaultIo::Fault::kSticky;
+  disk->set_fault(fault);
+  const server::ClientResponse r = c.post("/ingest", ingest_one(1));
+  ASSERT_EQ(r.status, 503) << r.body;
+  EXPECT_EQ(server::parse_json(r.body).find("applied")->as_int(), 0);
+
+  disk->clear_fault();
+  ASSERT_TRUE(cs.await_state("healthy"))
+      << cs.healthz_json(c).dump();
+  EXPECT_EQ(cs.healthz_json(c).find("records")->as_int(), 0);
+
+  // And it ingests again, from wid 1.
+  const server::ClientResponse again = c.post("/ingest", ingest_one(1));
+  ASSERT_EQ(again.status, 200) << again.body;
+  EXPECT_EQ(server::parse_json(again.body).find("records")->as_int(), 3);
+
+  cs.http->shutdown();
+  cs.service.reset();
+  fs::remove_all(dir);
 }
 
 // Both seams at once: a broken disk AND a misbehaving network. Reads are

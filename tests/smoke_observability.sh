@@ -38,7 +38,9 @@ pid=$!
 port=
 i=0
 while [ "$i" -lt 100 ]; do
-  port=$(sed -n 's/^wfqd listening on \([0-9][0-9]*\).*/\1/p' "$tmp/stdout")
+  # The backgrounded redirect may not have created the file yet.
+  port=$(sed -n 's/^wfqd listening on \([0-9][0-9]*\).*/\1/p' \
+    "$tmp/stdout" 2>/dev/null || true)
   [ -n "$port" ] && break
   kill -0 "$pid" 2>/dev/null || fail "wfqd exited before listening"
   sleep 0.1

@@ -61,6 +61,25 @@ TEST_F(StoreTest, CreateAppendLoad) {
   EXPECT_TRUE(check_well_formed(records, log.interner()).empty());
 }
 
+TEST_F(StoreTest, EmptyStoreLoadsAsTheEmptyLog) {
+  // Both loads of a store with no records give the same empty log, for a
+  // fresh store and a reopened one alike.
+  for (const bool reopen : {false, true}) {
+    const LogStore store =
+        reopen ? LogStore::open(dir_) : LogStore::create(dir_);
+    const Log full = store.load();
+    EXPECT_TRUE(full.empty());
+    EXPECT_TRUE(full.wids().empty());
+    const LogStore::PrunedLoad unpruned = store.load_pruned({});
+    EXPECT_FALSE(unpruned.pruned);
+    EXPECT_TRUE(unpruned.log.empty());
+    const LogStore::PrunedLoad pruned = store.load_pruned({"GetRefer"});
+    EXPECT_TRUE(pruned.pruned);
+    EXPECT_TRUE(pruned.log.empty());
+    EXPECT_EQ(pruned.records_kept, 0u);
+  }
+}
+
 TEST_F(StoreTest, CreateRefusesExistingStore) {
   { LogStore store = LogStore::create(dir_); }
   EXPECT_THROW(LogStore::create(dir_), IoError);

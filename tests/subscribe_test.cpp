@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/monitor.h"
+#include "log/builder.h"
 #include "server/client.h"
 #include "server/handlers.h"
 #include "server/json.h"
@@ -164,7 +166,8 @@ std::pair<std::string, std::int64_t> subscribe(server::HttpClient& c,
 
 struct Drained {
   std::multiset<std::string> fragments;
-  std::vector<std::uint64_t> seqs;  // delivery order
+  std::vector<std::string> ordered;  // fragments in delivery order
+  std::vector<std::uint64_t> seqs;   // delivery order
   std::uint64_t next_after = 0;
 };
 
@@ -181,6 +184,7 @@ Drained drain_all(server::HttpClient& c, const std::string& id,
     const server::JsonValue v = server::parse_json(r.body);
     for (const server::JsonValue& e : v.find("events")->as_array()) {
       d.fragments.insert(fragment_of_event(e));
+      d.ordered.push_back(fragment_of_event(e));
       d.seqs.push_back(static_cast<std::uint64_t>(e.find("seq")->as_int()));
     }
     d.next_after =
@@ -220,6 +224,27 @@ TEST(SubscribeTest, RegistrationReplaysHistory) {
   for (std::size_t i = 0; i < d.seqs.size(); ++i) {
     EXPECT_EQ(d.seqs[i], i + 1);
   }
+
+  // History is replayed in log order — by the record that completed each
+  // incident — not in instance order: here wid 2 completes an incident
+  // before wid 1 does.
+  LogBuilder b;
+  const Wid w1 = b.begin_instance();
+  const Wid w2 = b.begin_instance();
+  b.append(w2, "a");
+  b.append(w1, "a");
+  b.append(w2, "b");  // completes w2 [2,3]
+  b.append(w1, "b");  // completes w1 [2,3]
+  b.append(w2, "b");  // completes w2 [2,4]
+  b.end_instance(w1);
+  b.end_instance(w2);
+  TestServer interleaved(b.build());
+  server::HttpClient ci = interleaved.client();
+  const auto [iid, imatched] = subscribe(ci, "a -> b");
+  EXPECT_EQ(imatched, 3);
+  EXPECT_EQ(drain_all(ci, iid).ordered,
+            (std::vector<std::string>{fragment(2, {2, 3}), fragment(1, {2, 3}),
+                                      fragment(2, {2, 4})}));
 }
 
 TEST(SubscribeTest, RejectsBadRequests) {
@@ -325,41 +350,197 @@ TEST(SubscribeTest, WhereClauseFiltersDeliveries) {
   EXPECT_NE(d.fragments.begin()->find("\"wid\":1"), std::string::npos);
 }
 
+// One scripted /ingest event: op "begin" | "record" | "end". `k_in` /
+// `k_out` (when >= 0) set attribute k of the record's input / output map.
+struct ScriptEvent {
+  ScriptEvent(std::string op_, Wid wid_, std::string activity_ = {},
+              std::int64_t k_in_ = -1, std::int64_t k_out_ = -1)
+      : op(std::move(op_)),
+        wid(wid_),
+        activity(std::move(activity_)),
+        k_in(k_in_),
+        k_out(k_out_) {}
+
+  std::string op;
+  Wid wid;
+  std::string activity;
+  std::int64_t k_in;
+  std::int64_t k_out;
+};
+
+std::string ingest_body(const std::vector<ScriptEvent>& events) {
+  std::string body = R"({"events": [)";
+  bool first = true;
+  for (const ScriptEvent& e : events) {
+    if (!first) body += ',';
+    first = false;
+    body += R"({"op": ")" + e.op + "\"";
+    if (e.op != "begin") body += R"(, "wid": )" + std::to_string(e.wid);
+    if (e.op == "record") {
+      body += R"(, "activity": ")" + e.activity + "\"";
+      if (e.k_in >= 0) {
+        body += R"(, "in": {"k": )" + std::to_string(e.k_in) + "}";
+      }
+      if (e.k_out >= 0) {
+        body += R"(, "out": {"k": )" + std::to_string(e.k_out) + "}";
+      }
+    }
+    body += '}';
+  }
+  return body + "]}";
+}
+
+/// Feeds the same events to an in-process LogMonitor: the record-at-a-time
+/// oracle whose emission order is the delivery order a subscription owes.
+void feed(LogMonitor& m, const std::vector<ScriptEvent>& events) {
+  for (const ScriptEvent& e : events) {
+    if (e.op == "begin") {
+      ASSERT_EQ(m.begin_instance(), e.wid);
+    } else if (e.op == "end") {
+      m.end_instance(e.wid);
+    } else {
+      NamedAttrs in;
+      NamedAttrs out;
+      if (e.k_in >= 0) in.emplace_back("k", Value(e.k_in));
+      if (e.k_out >= 0) out.emplace_back("k", Value(e.k_out));
+      m.record(e.wid, e.activity, in, out);
+    }
+  }
+}
+
 // The headline differential: many interleaved ingests, consumed through
-// the ack cursor, must reproduce the batch result EXACTLY.
+// the ack cursor, must reproduce the batch result EXACTLY, and deliver it
+// in the order a record-at-a-time feed completes the incidents — across
+// shard counts, both negation semantics, where clauses, instances left
+// open over several requests and several events of one instance in one
+// request.
 TEST(SubscribeTest, DifferentialStreamedEqualsBatch) {
-  TestServer ts(std::nullopt);
-  server::HttpClient c = ts.client();
-  ingest_instance(c, {"a", "b", "a"});  // pre-subscription history
-  const auto [id, matched] = subscribe(c, "a -> b");
-
-  std::multiset<std::string> streamed;
-  Drained d = drain_all(c, id);
-  streamed.insert(d.fragments.begin(), d.fragments.end());
-  std::uint64_t cursor = d.next_after;
-  std::vector<std::uint64_t> seqs = d.seqs;
-
+  const std::vector<std::string> queries = {
+      "a -> b", "!a -> b", "a . !c", "(a | c) & b", "b -> END",
+      "x:a -> y:b where x.out.k = y.in.k"};
+  // Whole instances, one request to begin and one to run each.
   const std::vector<std::vector<std::string>> instances = {
       {"a", "b"},
-      {"b", "b"},            // no match
+      {"b", "b"},            // no "a -> b" match
       {"a", "x", "b", "b"},  // two incidents
-      {"c"},                 // no match
+      {"c"},                 // no "a -> b" match
       {"a", "a", "b"},       // three incidents
   };
-  for (const auto& acts : instances) {
-    ingest_instance(c, acts);
-    d = drain_all(c, id, cursor);
-    streamed.insert(d.fragments.begin(), d.fragments.end());
-    seqs.insert(seqs.end(), d.seqs.begin(), d.seqs.end());
-    cursor = d.next_after;
-  }
+  // Then interleaved requests: wids 7.. stay open across requests, and
+  // one request carries several events of one instance.
+  const std::vector<std::vector<ScriptEvent>> interleaved = {
+      {{"begin", 7},
+       {"record", 7, "a", -1, 7},
+       {"begin", 8},
+       {"record", 8, "b"},
+       {"record", 7, "b", 7}},
+      {{"record", 8, "a", -1, 1},
+       {"record", 7, "a"},
+       {"begin", 9},
+       {"record", 9, "c"}},
+      {{"record", 8, "b", 1},
+       {"end", 7},
+       {"record", 9, "a", -1, 2},
+       {"record", 9, "b", 3}},
+      {{"begin", 10},
+       {"record", 10, "a"},
+       {"record", 10, "c"},
+       {"record", 10, "b"},
+       {"end", 10},
+       {"record", 8, "c"}},
+      {{"record", 9, "b", 2}, {"end", 9}, {"end", 8}},
+  };
 
-  // Byte-identical multiset equality against the final batch snapshot.
-  EXPECT_EQ(streamed, batch_fragments(c, "a -> b"));
-  // Exactly-once: seqs are dense 1..N with no gap or repeat.
-  ASSERT_EQ(seqs.size(), streamed.size());
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    EXPECT_EQ(seqs[i], i + 1);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool sentinels : {true, false}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " negation_matches_sentinels=" + std::to_string(sentinels));
+      server::ServiceOptions svc;
+      svc.engine.shards = shards;
+      svc.engine.eval.negation_matches_sentinels = sentinels;
+      TestServer ts(std::nullopt, svc);
+      server::HttpClient c = ts.client();
+      MonitorOptions mo;
+      mo.negation_matches_sentinels = sentinels;
+      LogMonitor oracle(mo);
+      std::vector<LogMonitor::QueryId> oracle_ids;
+      for (const std::string& q : queries) {
+        oracle_ids.push_back(
+            oracle.add_query(Query::parse(q).pattern, nullptr));
+      }
+
+      // Pre-subscription history.
+      const std::int64_t w1 = ingest_instance(c, {"a", "b", "a"});
+      feed(oracle, {{"begin", 1}, {"record", 1, "a"}, {"record", 1, "b"},
+                    {"record", 1, "a"}, {"end", 1}});
+      ASSERT_EQ(w1, 1);
+
+      std::vector<std::string> ids;
+      for (const std::string& q : queries) ids.push_back(subscribe(c, q).first);
+      std::vector<Drained> streamed(queries.size());
+      std::vector<std::uint64_t> cursor(queries.size(), 0);
+      const auto drain_every = [&] {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const Drained d = drain_all(c, ids[i], cursor[i]);
+          Drained& acc = streamed[i];
+          acc.fragments.insert(d.fragments.begin(), d.fragments.end());
+          acc.ordered.insert(acc.ordered.end(), d.ordered.begin(),
+                             d.ordered.end());
+          acc.seqs.insert(acc.seqs.end(), d.seqs.begin(), d.seqs.end());
+          cursor[i] = d.next_after;
+        }
+      };
+      drain_every();
+
+      Wid next = 2;
+      for (const auto& acts : instances) {
+        ingest_instance(c, acts);
+        std::vector<ScriptEvent> evs = {{"begin", next}};
+        for (const std::string& a : acts) evs.push_back({"record", next, a});
+        evs.push_back({"end", next});
+        feed(oracle, evs);
+        ++next;
+        drain_every();
+      }
+      for (const auto& request : interleaved) {
+        const server::ClientResponse r =
+            c.post("/ingest", ingest_body(request));
+        ASSERT_EQ(r.status, 200) << r.body;
+        feed(oracle, request);
+        drain_every();
+      }
+
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(queries[i]);
+        const std::multiset<std::string> batch = batch_fragments(c, queries[i]);
+        // Byte-identical multiset equality against the final batch
+        // snapshot.
+        EXPECT_EQ(streamed[i].fragments, batch);
+        // Delivery order: the oracle's emission order, restricted to what
+        // the where clause (which the monitor does not evaluate) keeps.
+        std::vector<std::string> expect_order;
+        for (const LogMonitor::Match& m : oracle.matches()) {
+          if (m.query != oracle_ids[i]) continue;
+          std::vector<std::int64_t> positions(m.incident.positions().begin(),
+                                              m.incident.positions().end());
+          std::string f = fragment(static_cast<std::int64_t>(m.incident.wid()),
+                                   positions);
+          if (batch.contains(f)) expect_order.push_back(std::move(f));
+        }
+        EXPECT_EQ(streamed[i].ordered, expect_order);
+        // Exactly-once: seqs are dense 1..N with no gap or repeat.
+        ASSERT_EQ(streamed[i].seqs.size(), streamed[i].fragments.size());
+        for (std::size_t j = 0; j < streamed[i].seqs.size(); ++j) {
+          EXPECT_EQ(streamed[i].seqs[j], j + 1);
+        }
+      }
+      // The where-less queries: the oracle finds exactly the batch set.
+      for (std::size_t i = 0; i + 1 < queries.size(); ++i) {
+        EXPECT_EQ(oracle.total_matches(oracle_ids[i]),
+                  streamed[i].fragments.size())
+            << queries[i];
+      }
+    }
   }
 }
 
@@ -615,13 +796,9 @@ TEST(SubscribeTest, CacheRepairServesByteIdenticalHits) {
   ASSERT_EQ(ca.post("/query", q).status, 200);  // populate the cache
   subscribe(ca, "a -> b");
 
-  for (const auto& acts : std::vector<std::vector<std::string>>{
-           {"a", "x", "b"}, {"b"}, {"a", "b", "b"}}) {
-    ingest_instance(ca, acts);
-    ingest_instance(cb, acts);
-
-    // The ingest repaired the cached entry in place: the next /query is a
-    // HIT whose body is byte-identical to the oracle's fresh evaluation.
+  // The ingest repaired the cached entry in place: the next /query is a
+  // HIT whose body is byte-identical to the oracle's fresh evaluation.
+  const auto expect_repaired_hit = [&] {
     const server::ClientResponse hit = ca.post("/query", q);
     ASSERT_EQ(hit.status, 200) << hit.body;
     ASSERT_NE(hit.header("x-wfq-cache"), nullptr);
@@ -633,8 +810,27 @@ TEST(SubscribeTest, CacheRepairServesByteIdenticalHits) {
     EXPECT_EQ(vh.find("incidents")->dump(), vf.find("incidents")->dump());
     EXPECT_EQ(vh.find("total")->as_int(), vf.find("total")->as_int());
     EXPECT_EQ(vh.find("complete")->as_bool(), vf.find("complete")->as_bool());
+  };
+  for (const auto& acts : std::vector<std::vector<std::string>>{
+           {"a", "x", "b"}, {"b"}, {"a", "b", "b"}}) {
+    ingest_instance(ca, acts);
+    ingest_instance(cb, acts);
+    expect_repaired_hit();
   }
-  EXPECT_GE(stats_subscriptions(ca).find("cache_repairs")->as_int(), 3);
+  // An instance that already has a cached group gains incidents in a
+  // later request: its group is replaced, not kept.
+  for (const std::string& request : {
+           std::string(R"({"events": [{"op": "begin"},
+             {"op": "record", "wid": 5, "activity": "a"},
+             {"op": "record", "wid": 5, "activity": "b"}]})"),
+           std::string(R"({"events": [
+             {"op": "record", "wid": 5, "activity": "b"},
+             {"op": "end", "wid": 5}]})")}) {
+    ASSERT_EQ(ca.post("/ingest", request).status, 200);
+    ASSERT_EQ(cb.post("/ingest", request).status, 200);
+    expect_repaired_hit();
+  }
+  EXPECT_GE(stats_subscriptions(ca).find("cache_repairs")->as_int(), 5);
 }
 
 }  // namespace
