@@ -59,8 +59,9 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
     }
   }
 
-  // per_shard[s][q] = query q's non-empty lists in shard s. Shards write
-  // disjoint entries, so no synchronization is needed beyond the join.
+  // per_shard[s][q] = query q's groups in shard s, in one flat buffer.
+  // Shards write disjoint entries, so no synchronization is needed beyond
+  // the join.
   std::vector<std::vector<ShardResult>> per_shard(
       splan.num_shards(), std::vector<ShardResult>(num_queries));
   std::vector<EvalCounters> shard_counters(splan.num_shards());
@@ -92,13 +93,9 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
           continue;
         }
         try {
-          IncidentList list = ev.evaluate_instance(
+          const std::span<const Incident> list = ev.evaluate_instance(
               *eval_plans[q], i, memo_ptr, nullptr, options.guard);
-          if (!list.empty()) {
-            out[q].positions.push_back(i);
-            out[q].wids.push_back(shard.wids[j]);
-            out[q].lists.push_back(std::move(list));
-          }
+          if (!list.empty()) out[q].add(i, shard.wids[j], list);
         } catch (const std::exception& e) {
           if (!failed[q].exchange(true, std::memory_order_relaxed)) {
             const std::lock_guard<std::mutex> lock(errors_mu);
@@ -125,7 +122,7 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
     for (std::size_t s = 0; s < splan.num_shards(); ++s) {
       parts[s] = std::move(per_shard[s][q]);
     }
-    results[q] = merge_shards(splan.num_instances(), std::move(parts));
+    results[q] = merge_shards(std::move(parts));
   }
 
   if (stats != nullptr) {

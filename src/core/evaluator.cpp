@@ -83,14 +83,14 @@ std::uint32_t EvalPlan::add(const Pattern& p, const Log& log,
 Evaluator::Evaluator(const LogIndex& index, EvalOptions opts)
     : index_(&index), opts_(opts) {}
 
-IncidentList Evaluator::eval_atom(const InstanceContext& ctx,
-                                  const EvalPlan::Node& node) const {
+void Evaluator::eval_atom(const InstanceContext& ctx,
+                          const EvalPlan::Node& node,
+                          IncidentList& out) const {
   const Pattern& p = *node.pattern;
   const Log& log = index_->log();
   const Symbol sym = node.symbol;
   const Predicate* pred = p.predicate().get();
   const InstanceView& inst = ctx.instance;
-  IncidentList out;
 
   // Predicate evaluation per occurrence can be arbitrarily slow (string
   // compares over long values); poll the guard so a deadline bounds the
@@ -99,10 +99,8 @@ IncidentList Evaluator::eval_atom(const InstanceContext& ctx,
 
   if (!p.negated()) {
     // An activity name never interned can't occur in the log.
-    if (sym == kNoSymbol) return out;
-    const std::span<const IsLsn> occ = inst.occurrences(sym);
-    out.reserve(occ.size());
-    for (IsLsn n : occ) {
+    if (sym == kNoSymbol) return;
+    for (IsLsn n : inst.occurrences(sym)) {
       if (poll.should_stop()) break;
       if (pred != nullptr) {
         const LogRecord* l = inst.find(n);
@@ -110,7 +108,7 @@ IncidentList Evaluator::eval_atom(const InstanceContext& ctx,
       }
       out.push_back(Incident::singleton(ctx.wid, n));
     }
-    return out;
+    return;
   }
 
   // ¬t: scan the instance's activity column; records are only touched
@@ -128,7 +126,6 @@ IncidentList Evaluator::eval_atom(const InstanceContext& ctx,
       out.push_back(Incident::singleton(ctx.wid, static_cast<IsLsn>(i + 1)));
     }
   }
-  return out;
 }
 
 namespace {
@@ -145,14 +142,18 @@ bool empty_if_left_empty(PatternOp op) {
          op == PatternOp::kParallel;
 }
 
+/// What a node collapsed by a tripped guard (or a skipped right subtree)
+/// evaluates to.
+const IncidentList kNoIncidents;
+
 }  // namespace
 
-Evaluator::NodeResult Evaluator::eval_node(const InstanceContext& ctx,
-                                           std::uint32_t n) const {
+const IncidentList& Evaluator::eval_node(const InstanceContext& ctx,
+                                         std::uint32_t n) const {
   const EvalGuard* guard = ctx.guard;
   // A tripped guard collapses the whole subtree to an empty list — the
   // cheapest sound partial answer (the caller flags the result).
-  if (guard != nullptr && guard->check()) return {};
+  if (guard != nullptr && guard->check()) return kNoIncidents;
 
   const EvalPlan::Node& node = ctx.plan.nodes_[n];
   const Pattern& p = *node.pattern;
@@ -173,26 +174,29 @@ Evaluator::NodeResult Evaluator::eval_node(const InstanceContext& ctx,
         span.arg("cache_hit", std::uint64_t{1});
         span.arg("incidents", static_cast<std::uint64_t>(cached->size()));
       }
-      return {{}, cached};
+      return *cached;
     }
   }
 
-  NodeResult result;
-  IncidentList& out = result.owned;
+  // A memoized node evaluates straight into its slot, any other into its
+  // scratch list. Neither aliases a child's list: children have their own
+  // scratch entries, and a child's canonical key (a smaller tree) never
+  // equals its parent's.
+  IncidentList& out =
+      slot != SubpatternMemo::kNoSlot ? ctx.memo->list(slot) : scratch_[n];
+  out.clear();
   std::uint64_t pairs = 0;
   if (p.is_atom()) {
-    out = eval_atom(ctx, node);
+    eval_atom(ctx, node, out);
   } else {
-    const NodeResult left = eval_node(ctx, n + 1);
+    const IncidentList& l = eval_node(ctx, n + 1);
     // ⊙, ≫ and ⊕ are empty when their left operand is, so the right
     // subtree is skipped — except under a NodeTracer, whose per-node rows
     // (explain's actuals) must cover every node in every instance.
-    const bool skip_right = left.list().empty() && ctx.trace == nullptr &&
-                            empty_if_left_empty(p.op());
-    const NodeResult right =
-        skip_right ? NodeResult{} : eval_node(ctx, node.right);
-    const IncidentList& l = left.list();
-    const IncidentList& r = right.list();
+    const bool skip_right =
+        l.empty() && ctx.trace == nullptr && empty_if_left_empty(p.op());
+    const IncidentList& r =
+        skip_right ? kNoIncidents : eval_node(ctx, node.right);
     ++counters_.operator_nodes_evaluated;
 
     const bool opt = opts_.use_optimized_operators;
@@ -201,25 +205,37 @@ Evaluator::NodeResult Evaluator::eval_node(const InstanceContext& ctx,
         break;  // unreachable
       case PatternOp::kConsecutive:
         pairs = l.size() * r.size();
-        out = opt ? eval_consecutive_opt(l, r, guard)
-                  : eval_consecutive_naive(l, r, guard);
+        if (opt) {
+          eval_consecutive_opt(l, r, out, guard);
+        } else {
+          out = eval_consecutive_naive(l, r, guard);
+        }
         break;
       case PatternOp::kSequential:
         pairs = l.size() * r.size();
-        out = opt ? eval_sequential_opt(l, r, guard)
-                  : eval_sequential_naive(l, r, guard);
+        if (opt) {
+          eval_sequential_opt(l, r, out, guard);
+        } else {
+          out = eval_sequential_naive(l, r, guard);
+        }
         break;
       case PatternOp::kChoice: {
         const bool dedup = node.choice_dedup;
         pairs = dedup ? l.size() * r.size() : l.size() + r.size();
-        out = opt ? eval_choice_opt(l, r, dedup, guard)
-                  : eval_choice_naive(l, r, dedup, guard);
+        if (opt) {
+          eval_choice_opt(l, r, dedup, out, guard);
+        } else {
+          out = eval_choice_naive(l, r, dedup, guard);
+        }
         break;
       }
       case PatternOp::kParallel:
         pairs = l.size() * r.size();
-        out = opt ? eval_parallel_opt(l, r, guard)
-                  : eval_parallel_naive(l, r, guard);
+        if (opt) {
+          eval_parallel_opt(l, r, out, guard);
+        } else {
+          out = eval_parallel_naive(l, r, guard);
+        }
         break;
     }
     counters_.pairs_examined += pairs;
@@ -236,36 +252,36 @@ Evaluator::NodeResult Evaluator::eval_node(const InstanceContext& ctx,
     span.arg("incidents", static_cast<std::uint64_t>(out.size()));
     if (!p.is_atom()) span.arg("pairs", pairs);
   }
-  // Never memoize under a tripped guard: the list may be truncated, and a
-  // later lookup would mistake it for the complete list — silently
-  // corrupting any query of the batch that shares the slot.
+  // Never validate a slot under a tripped guard: the list may be
+  // truncated, and a later lookup would mistake it for the complete list —
+  // silently corrupting any query of the batch that shares the slot.
   if (slot != SubpatternMemo::kNoSlot &&
       (guard == nullptr || !guard->stopped())) {
     ++counters_.cache_misses;
     counters_.cache_bytes += incident_bytes(out);
-    result.borrowed = &ctx.memo->store(slot, std::move(out));
+    ctx.memo->mark_valid(slot);
   }
-  return result;
+  return out;
 }
 
-IncidentList Evaluator::run_instance(const InstanceContext& ctx) const {
-  NodeResult root = eval_node(ctx, 0);
-  return root.borrowed != nullptr ? *root.borrowed : std::move(root.owned);
+std::span<const Incident> Evaluator::run_instance(
+    const InstanceContext& ctx) const {
+  if (scratch_.size() < ctx.plan.nodes_.size()) {
+    scratch_.resize(ctx.plan.nodes_.size());
+  }
+  return eval_node(ctx, 0);
 }
 
-IncidentList Evaluator::evaluate_instance(const EvalPlan& plan,
-                                          std::size_t instance,
-                                          SubpatternMemo* memo,
-                                          const NodeTracer* trace,
-                                          const EvalGuard* guard) const {
+std::span<const Incident> Evaluator::evaluate_instance(
+    const EvalPlan& plan, std::size_t instance, SubpatternMemo* memo,
+    const NodeTracer* trace, const EvalGuard* guard) const {
   return run_instance({plan, index_->view_at(instance),
                        index_->wids()[instance], memo, trace, guard});
 }
 
-IncidentList Evaluator::evaluate_instance(const Pattern& p, Wid wid,
-                                          SubpatternMemo* memo,
-                                          const NodeTracer* trace,
-                                          const EvalGuard* guard) const {
+std::span<const Incident> Evaluator::evaluate_instance(
+    const Pattern& p, Wid wid, SubpatternMemo* memo, const NodeTracer* trace,
+    const EvalGuard* guard) const {
   const EvalPlan plan(p, index_->log(),
                       memo != nullptr ? &memo->slots() : nullptr);
   return run_instance({plan, index_->view(wid), wid, memo, trace, guard});
@@ -278,12 +294,12 @@ IncidentSet Evaluator::evaluate(const Pattern& p, const NodeTracer* trace,
   IncidentSet result;
   for (std::size_t i = 0; i < wids.size(); ++i) {
     if (guard != nullptr && guard->stopped()) break;
-    IncidentList incidents = evaluate_instance(plan, i, nullptr, trace, guard);
-    if (!incidents.empty()) result.add_group(wids[i], std::move(incidents));
+    const std::span<const Incident> incidents =
+        evaluate_instance(plan, i, nullptr, trace, guard);
+    if (!incidents.empty()) result.add_group(wids[i], incidents);
   }
   return result;
 }
-
 bool Evaluator::exists(const Pattern& p) const {
   if (opts_.max_span == 0) {
     if (const auto chain = as_linear_chain(p)) {

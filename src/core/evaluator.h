@@ -10,8 +10,9 @@
 // their children's incident lists with the operator algorithms of
 // Algorithm 1 (or their optimized counterparts).
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -86,35 +87,38 @@ using SlotMap = std::unordered_map<const Pattern*, std::uint32_t>;
 /// instance; reset() clears it before moving to the next instance.
 /// Results are only shareable while the log, the instance, and the
 /// EvalOptions stay fixed — the batch engine guarantees all three.
+///
+/// A memoized node evaluates straight into its slot's list, which lives
+/// as long as the memo: reset() only drops the valid flags, so the lists
+/// keep their capacity from one instance to the next.
 class SubpatternMemo {
  public:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// `slots` must outlive the memo (the BatchPlan owns it).
   SubpatternMemo(const SlotMap* slots, std::size_t num_slots)
-      : slots_(slots), entries_(num_slots) {}
+      : slots_(slots), lists_(num_slots), valid_(num_slots, 0) {}
 
   /// Forget every cached list (between instances).
-  void reset() {
-    for (auto& e : entries_) e.reset();
-  }
+  void reset() { std::fill(valid_.begin(), valid_.end(), 0); }
 
   /// The node-to-slot map EvalPlans resolve their memo slots against.
   const SlotMap& slots() const noexcept { return *slots_; }
 
+  /// The slot's list if it is valid for the current instance; it stays
+  /// valid until reset(), so evaluation borrows it instead of copying.
   const IncidentList* lookup(std::uint32_t slot) const {
-    const auto& e = entries_[slot];
-    return e.has_value() ? &*e : nullptr;
+    return valid_[slot] != 0 ? &lists_[slot] : nullptr;
   }
-  /// Stores a node's list; the returned reference stays valid until
-  /// reset(), so evaluation borrows memoized lists instead of copying.
-  const IncidentList& store(std::uint32_t slot, IncidentList list) {
-    return entries_[slot].emplace(std::move(list));
-  }
+  /// The slot's list for a node to evaluate into. It is not valid (no
+  /// lookup() finds it) until mark_valid(slot).
+  IncidentList& list(std::uint32_t slot) { return lists_[slot]; }
+  void mark_valid(std::uint32_t slot) { valid_[slot] = 1; }
 
  private:
   const SlotMap* slots_;
-  std::vector<std::optional<IncidentList>> entries_;
+  std::vector<IncidentList> lists_;
+  std::vector<std::uint8_t> valid_;
 };
 
 /// A pattern tree bound to one log for evaluation: the tree flattened in
@@ -193,22 +197,27 @@ class Evaluator {
   /// Incidents of a plan's pattern within the `instance`-th workflow
   /// instance (position in index().wids()) — the per-instance step every
   /// evaluation path shares. With a memo, every node the plan maps to a
-  /// slot is answered from / stored into the memo — the batch engine's
+  /// slot is answered from / evaluated into the memo — the batch engine's
   /// sharing hook; the plan must have been built against the memo's
   /// slots(). The caller owns the memo's lifecycle (reset between
   /// instances). The guard works as in evaluate(); partial (post-trip)
-  /// lists are never stored in the memo.
-  IncidentList evaluate_instance(const EvalPlan& plan, std::size_t instance,
-                                 SubpatternMemo* memo = nullptr,
-                                 const NodeTracer* trace = nullptr,
-                                 const EvalGuard* guard = nullptr) const;
+  /// lists are never marked valid in the memo.
+  ///
+  /// The result is borrowed from this evaluator's scratch lists (or from
+  /// the memo): it is valid until the next evaluation on this evaluator
+  /// or the memo's next reset(), whichever comes first. Callers copy what
+  /// they keep.
+  std::span<const Incident> evaluate_instance(
+      const EvalPlan& plan, std::size_t instance,
+      SubpatternMemo* memo = nullptr, const NodeTracer* trace = nullptr,
+      const EvalGuard* guard = nullptr) const;
 
   /// Incidents of p within the instance `wid` (empty for unknown wids):
-  /// the one-off form, which builds the plan itself.
-  IncidentList evaluate_instance(const Pattern& p, Wid wid,
-                                 SubpatternMemo* memo = nullptr,
-                                 const NodeTracer* trace = nullptr,
-                                 const EvalGuard* guard = nullptr) const;
+  /// the one-off form, which builds the plan itself. Borrowed as above.
+  std::span<const Incident> evaluate_instance(
+      const Pattern& p, Wid wid, SubpatternMemo* memo = nullptr,
+      const NodeTracer* trace = nullptr,
+      const EvalGuard* guard = nullptr) const;
 
   /// True iff inc_L(p) is nonempty. Stops at the first instance with a
   /// match — the cheap mode for "are there any ...?" questions.
@@ -237,22 +246,22 @@ class Evaluator {
     const NodeTracer* trace;
     const EvalGuard* guard;
   };
-  /// A node's incident list: owned, or borrowed from the memo (valid
-  /// until its next reset()).
-  struct NodeResult {
-    IncidentList owned;
-    const IncidentList* borrowed = nullptr;
-    const IncidentList& list() const { return borrowed ? *borrowed : owned; }
-  };
-
-  IncidentList run_instance(const InstanceContext& ctx) const;
-  NodeResult eval_node(const InstanceContext& ctx, std::uint32_t n) const;
-  IncidentList eval_atom(const InstanceContext& ctx,
-                         const EvalPlan::Node& node) const;
+  std::span<const Incident> run_instance(const InstanceContext& ctx) const;
+  /// Evaluates node n into its memo slot or its scratch list and returns
+  /// that list (a shared empty list when the guard collapsed it).
+  const IncidentList& eval_node(const InstanceContext& ctx,
+                                std::uint32_t n) const;
+  void eval_atom(const InstanceContext& ctx, const EvalPlan::Node& node,
+                 IncidentList& out) const;
 
   const LogIndex* index_;
   EvalOptions opts_;
   mutable EvalCounters counters_;
+  /// One list per plan node (by pre-order index, shared by every plan this
+  /// evaluator runs): cleared before each use, never freed, so evaluation
+  /// stops allocating once they have grown. This is why an Evaluator must
+  /// not be shared between threads.
+  mutable std::vector<IncidentList> scratch_;
 };
 
 }  // namespace wflog

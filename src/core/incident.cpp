@@ -111,6 +111,10 @@ std::string Incident::to_string() const {
 }
 
 void canonicalize(IncidentList& list) {
+  // ⊙ and ≫ over canonical operands whose left incidents have one size
+  // (the common case) emit in canonical order already; one linear check
+  // then replaces the sort.
+  if (is_canonical(list)) return;
   std::sort(list.begin(), list.end());
   list.erase(std::unique(list.begin(), list.end()), list.end());
 }
@@ -122,29 +126,36 @@ bool is_canonical(const IncidentList& list) noexcept {
   return true;
 }
 
-void IncidentSet::add_group(Wid wid, IncidentList incidents) {
-  groups_.push_back(Group{wid, std::move(incidents)});
+void IncidentSet::add_group(Wid wid, std::span<const Incident> incidents) {
+  wids_.push_back(wid);
+  incidents_.insert(incidents_.end(), incidents.begin(), incidents.end());
+  ends_.push_back(incidents_.size());
 }
 
-std::size_t IncidentSet::total() const noexcept {
-  std::size_t n = 0;
-  for (const Group& g : groups_) n += g.incidents.size();
+void IncidentSet::reserve(std::size_t groups, std::size_t incidents) {
+  wids_.reserve(wids_.size() + groups);
+  ends_.reserve(ends_.size() + groups);
+  incidents_.reserve(incidents_.size() + incidents);
+}
+
+std::optional<std::span<const Incident>> IncidentSet::find(
+    Wid wid) const noexcept {
+  for (std::size_t g = 0; g < wids_.size(); ++g) {
+    if (wids_[g] == wid) return (*this)[g].incidents;
+  }
+  return std::nullopt;
+}
+
+std::size_t IncidentSet::heap_bytes() const noexcept {
+  std::size_t n = wids_.capacity() * sizeof(Wid) +
+                  ends_.capacity() * sizeof(std::size_t) +
+                  incidents_.capacity() * sizeof(Incident);
+  for (const Incident& o : incidents_) n += o.heap_bytes();
   return n;
 }
 
-const IncidentList* IncidentSet::find(Wid wid) const noexcept {
-  for (const Group& g : groups_) {
-    if (g.wid == wid) return &g.incidents;
-  }
-  return nullptr;
-}
-
 IncidentList IncidentSet::flatten() const {
-  IncidentList all;
-  all.reserve(total());
-  for (const Group& g : groups_) {
-    all.insert(all.end(), g.incidents.begin(), g.incidents.end());
-  }
+  IncidentList all(incidents_.begin(), incidents_.end());
   canonicalize(all);
   return all;
 }

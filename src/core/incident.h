@@ -22,6 +22,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -161,36 +164,72 @@ void canonicalize(IncidentList& list);
 bool is_canonical(const IncidentList& list) noexcept;
 
 /// Incidents grouped by workflow instance; the result of evaluating a
-/// pattern over a whole log. Groups appear in ascending wid order.
+/// pattern over a whole log. Groups appear in the order they were added;
+/// the evaluators add them in the log's instance order.
+///
+/// Stored flat, CSR-style: one wid and one end offset per group, and one
+/// contiguous buffer of every group's incidents. A result therefore costs
+/// three allocations however many instances matched, and heap_bytes() is
+/// exactly what it retains.
 class IncidentSet {
  public:
   IncidentSet() = default;
 
-  /// Adds a group. Precondition: wid greater than any existing group's.
-  void add_group(Wid wid, IncidentList incidents);
+  /// One instance's incidents, borrowed from the set (valid while the set
+  /// is alive and unmodified).
+  struct Group {
+    Wid wid = 0;
+    std::span<const Incident> incidents;
+  };
 
-  std::size_t num_groups() const noexcept { return groups_.size(); }
+  /// Appends a group (copying its incidents). Precondition: wid differs
+  /// from every existing group's.
+  void add_group(Wid wid, std::span<const Incident> incidents);
+  void add_group(Wid wid, std::initializer_list<Incident> incidents) {
+    add_group(wid, std::span<const Incident>(incidents.begin(),
+                                             incidents.size()));
+  }
+
+  /// Sizes the buffers for `groups` more groups holding `incidents` more
+  /// incidents, so a producer that knows its totals builds the set with
+  /// exactly three allocations.
+  void reserve(std::size_t groups, std::size_t incidents);
+
+  std::size_t num_groups() const noexcept { return wids_.size(); }
 
   /// Total number of incidents across all instances.
-  std::size_t total() const noexcept;
+  std::size_t total() const noexcept { return incidents_.size(); }
 
   bool empty() const noexcept { return total() == 0; }
 
-  const IncidentList* find(Wid wid) const noexcept;
+  /// The incidents of instance `wid`, or nullopt when it has no group.
+  std::optional<std::span<const Incident>> find(Wid wid) const noexcept;
 
-  struct Group {
-    Wid wid = 0;
-    IncidentList incidents;
-  };
-  const std::vector<Group>& groups() const noexcept { return groups_; }
+  Group operator[](std::size_t g) const noexcept {
+    const std::size_t begin = g == 0 ? 0 : ends_[g - 1];
+    return {wids_[g], std::span<const Incident>(incidents_).subspan(
+                          begin, ends_[g] - begin)};
+  }
+  /// The groups in order, as a random-access view that builds each Group
+  /// on access: `for (const IncidentSet::Group& g : set.groups())`.
+  auto groups() const noexcept {
+    return std::views::iota(std::size_t{0}, num_groups()) |
+           std::views::transform([this](std::size_t g) { return (*this)[g]; });
+  }
 
   /// All incidents in one flat canonical list.
   IncidentList flatten() const;
 
+  /// Heap bytes the set retains: its three buffers' capacities plus the
+  /// incidents' spilled positions. The result cache charges this.
+  std::size_t heap_bytes() const noexcept;
+
   bool operator==(const IncidentSet& other) const;
 
  private:
-  std::vector<Group> groups_;
+  std::vector<Wid> wids_;            // one per group
+  std::vector<std::size_t> ends_;    // group g ends at incidents_[ends_[g]]
+  std::vector<Incident> incidents_;  // every group's incidents, in order
 };
 
 }  // namespace wflog

@@ -420,14 +420,15 @@ IncidentSet filter_where(const IncidentSet& incidents, const Pattern& p,
                          const JoinExpr& expr, const LogIndex& index,
                          const EvalGuard* guard) {
   IncidentSet out;
+  IncidentList kept;  // one group's survivors, reused across groups
   for (const IncidentSet::Group& g : incidents.groups()) {
-    IncidentList kept;
+    kept.clear();
     for (const Incident& o : g.incidents) {
       // Binding derivation + expr evaluation per incident is the hot part
       // of a where pass; poll the guard here so a deadline set on the run
       // also bounds the filtering, not just the pattern evaluation.
       if (guard != nullptr && guard->check()) {
-        if (!kept.empty()) out.add_group(g.wid, std::move(kept));
+        if (!kept.empty()) out.add_group(g.wid, kept);
         return out;
       }
       const auto assignments = derive_all_bindings(p, o, index);
@@ -436,7 +437,7 @@ IncidentSet filter_where(const IncidentSet& incidents, const Pattern& p,
           [&](const BindingMap& b) { return expr.eval(b, g.wid, index); });
       if (pass) kept.push_back(o);
     }
-    if (!kept.empty()) out.add_group(g.wid, std::move(kept));
+    if (!kept.empty()) out.add_group(g.wid, kept);
   }
   return out;
 }

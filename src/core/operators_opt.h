@@ -20,31 +20,32 @@
 //                subsumes the common sequential-like case
 //
 // All functions require canonical inputs (sorted by positions, hence by
-// first()) and return canonical outputs.
+// first()) and write a canonical output into `out`, which they clear
+// first. `out` keeps its capacity across calls, so an evaluator that hands
+// every node the same scratch list per instance allocates nothing once the
+// lists have grown; it must not alias either input.
 
 // As in core/operators.h, every function with a nested loop polls an
-// optional EvalGuard inside it and returns a canonical partial list once
-// it trips; choice is a single linear merge and runs to completion.
+// optional EvalGuard inside it and leaves a canonical partial list once it
+// trips; choice is a single linear merge and runs to completion.
 
 #include "core/guard.h"
 #include "core/incident.h"
 
 namespace wflog {
 
-IncidentList eval_consecutive_opt(const IncidentList& inc1,
-                                  const IncidentList& inc2,
-                                  const EvalGuard* guard = nullptr);
+void eval_consecutive_opt(const IncidentList& inc1,
+                          const IncidentList& inc2, IncidentList& out,
+                          const EvalGuard* guard = nullptr);
 
-IncidentList eval_sequential_opt(const IncidentList& inc1,
-                                 const IncidentList& inc2,
-                                 const EvalGuard* guard = nullptr);
+void eval_sequential_opt(const IncidentList& inc1, const IncidentList& inc2,
+                         IncidentList& out, const EvalGuard* guard = nullptr);
 
-IncidentList eval_choice_opt(const IncidentList& inc1,
-                             const IncidentList& inc2, bool dedup,
-                             const EvalGuard* guard = nullptr);
+void eval_choice_opt(const IncidentList& inc1, const IncidentList& inc2,
+                     bool dedup, IncidentList& out,
+                     const EvalGuard* guard = nullptr);
 
-IncidentList eval_parallel_opt(const IncidentList& inc1,
-                               const IncidentList& inc2,
-                               const EvalGuard* guard = nullptr);
+void eval_parallel_opt(const IncidentList& inc1, const IncidentList& inc2,
+                       IncidentList& out, const EvalGuard* guard = nullptr);
 
 }  // namespace wflog

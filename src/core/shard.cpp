@@ -31,22 +31,33 @@ ShardPlan::ShardPlan(const std::vector<Wid>& wids, std::size_t num_shards) {
 
 // ----- gather --------------------------------------------------------------
 
-IncidentSet merge_shards(std::size_t num_instances,
-                         std::vector<ShardResult> results) {
-  // Scatter every shard's groups into one global-position-indexed table,
-  // then emit in ascending position — the log's first-appearance order,
-  // i.e. exactly the group order of an unsharded evaluation. Positions are
-  // wid-disjoint across shards, so the scatter never collides and the
-  // output is independent of the order `results` arrives in.
-  std::vector<std::pair<Wid, IncidentList>> by_pos(num_instances);
-  for (ShardResult& r : results) {
-    for (std::size_t j = 0; j < r.positions.size(); ++j) {
-      by_pos[r.positions[j]] = {r.wids[j], std::move(r.lists[j])};
-    }
+IncidentSet merge_shards(std::vector<ShardResult> results) {
+  // Positions are wid-disjoint across shards and ascend within each, so
+  // always taking the smallest head position emits the groups in the log's
+  // first-appearance order — the group order of an unsharded evaluation —
+  // whatever order `results` arrives in.
+  std::erase_if(results,
+                [](const ShardResult& r) { return r.positions.empty(); });
+  if (results.size() == 1) return std::move(results[0].groups);
+  std::size_t groups = 0, incidents = 0;
+  for (const ShardResult& r : results) {
+    groups += r.groups.num_groups();
+    incidents += r.groups.total();
   }
   IncidentSet merged;
-  for (auto& [wid, list] : by_pos) {
-    if (!list.empty()) merged.add_group(wid, std::move(list));
+  merged.reserve(groups, incidents);
+  std::vector<std::size_t> next(results.size(), 0);
+  for (std::size_t emitted = 0; emitted < groups; ++emitted) {
+    std::size_t best = results.size();
+    for (std::size_t s = 0; s < results.size(); ++s) {
+      if (next[s] == results[s].positions.size()) continue;
+      if (best == results.size() || results[s].positions[next[s]] <
+                                        results[best].positions[next[best]]) {
+        best = s;
+      }
+    }
+    const IncidentSet::Group g = results[best].groups[next[best]++];
+    merged.add_group(g.wid, g.incidents);
   }
   return merged;
 }
@@ -93,19 +104,15 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
         count_shard_cancelled(plan.num_shards());
         break;
       }
-      IncidentList list = ev.evaluate_instance(
+      const std::span<const Incident> list = ev.evaluate_instance(
           eval_plan, shard.global[j], nullptr, nullptr, options.guard);
-      if (!list.empty()) {
-        out.positions.push_back(shard.global[j]);
-        out.wids.push_back(shard.wids[j]);
-        out.lists.push_back(std::move(list));
-      }
+      if (!list.empty()) out.add(shard.global[j], shard.wids[j], list);
     }
     counters[s] = ev.counters();
     if (span.active()) {
       span.arg("shard", static_cast<std::uint64_t>(s));
       span.arg("instances", static_cast<std::uint64_t>(shard.wids.size()));
-      span.arg("groups", static_cast<std::uint64_t>(out.lists.size()));
+      span.arg("groups", static_cast<std::uint64_t>(out.positions.size()));
     }
   };
   scatter_shards(plan.num_shards(), options.pool, options.completion_order,
@@ -113,7 +120,7 @@ IncidentSet evaluate_sharded(const Pattern& p, const LogIndex& index,
   if (options.counters != nullptr) {
     for (const EvalCounters& c : counters) *options.counters += c;
   }
-  return merge_shards(plan.num_instances(), std::move(results));
+  return merge_shards(std::move(results));
 }
 
 std::size_t count_sharded(const Pattern& p, const LogIndex& index,

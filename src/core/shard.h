@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/shard_pool.h"
@@ -96,21 +97,27 @@ class ShardPlan {
 };
 
 /// One shard's raw gather output: the non-empty incident lists of its
-/// instances tagged with each instance's global position. Public so the
-/// merge can be property-tested under adversarial completion orders.
+/// instances, appended into one flat IncidentSet, each group tagged with
+/// its instance's global position. Public so the merge can be
+/// property-tested under adversarial completion orders.
 struct ShardResult {
-  std::vector<std::size_t> positions;  // ascending global positions
-  std::vector<Wid> wids;               // parallel to positions
-  std::vector<IncidentList> lists;     // parallel, each non-empty
+  std::vector<std::size_t> positions;  // ascending, one per group
+  IncidentSet groups;                  // parallel to positions, non-empty
+
+  /// Appends the instance at global `position`, copying its incidents
+  /// out of the evaluator's scratch. Positions must ascend.
+  void add(std::size_t position, Wid wid,
+           std::span<const Incident> incidents) {
+    positions.push_back(position);
+    groups.add_group(wid, incidents);
+  }
 };
 
-/// Deterministic gather: recombines per-shard outputs into one IncidentSet
-/// whose groups appear in ascending global-position order — exactly the
-/// shape Evaluator::evaluate produces, independent of the order the shards
-/// finished in (or are listed in). `num_instances` is the log's total
-/// instance count (positions index into it).
-IncidentSet merge_shards(std::size_t num_instances,
-                         std::vector<ShardResult> results);
+/// Deterministic gather: a k-way merge of per-shard outputs by global
+/// position into one flat IncidentSet, whose groups appear in ascending
+/// position order — exactly the shape Evaluator::evaluate produces,
+/// independent of the order the shards finished in (or are listed in).
+IncidentSet merge_shards(std::vector<ShardResult> results);
 
 /// The one scatter loop of the tree: runs task(s) for every shard s in
 /// [0, num_shards) on `pool` when set, else serially on the calling thread

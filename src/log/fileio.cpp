@@ -58,8 +58,20 @@ class PosixWriteFile final : public WriteFile {
   fs::path path_;
 };
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("cannot read '" + path.string() + "'");
+  std::ostringstream out;
+  out << in.rdbuf();
+  return std::move(out).str();
+}
+
 class RealFileIo final : public FileIo {
  public:
+  std::string read(const fs::path& path) override {
+    return read_file(path);
+  }
+
   WriteFilePtr open_append(const fs::path& path) override {
     return open_with(path, O_WRONLY | O_CREAT | O_APPEND);
   }
@@ -118,14 +130,6 @@ std::uintmax_t size_or_zero(const fs::path& path) {
   std::error_code ec;
   const std::uintmax_t n = fs::file_size(path, ec);
   return ec ? 0 : n;
-}
-
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("FaultIo: cannot read back '" + path.string() + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
 }
 
 void spill(const fs::path& path, std::string_view data) {
@@ -244,7 +248,7 @@ void FaultIo::apply_crash_loss() {
     for (auto it = pending_renames_.rbegin(); it != pending_renames_.rend();
          ++it) {
       if (fs::exists(it->to)) {
-        spill(it->from, slurp(it->to));
+        spill(it->from, read_file(it->to));
       }
       if (it->to_existed) {
         spill(it->to, it->old_to_content);
@@ -259,6 +263,14 @@ void FaultIo::apply_crash_loss() {
 void FaultIo::note_synced(const fs::path& path) {
   const std::lock_guard<std::mutex> lock(mu_);
   durable_[path] = size_or_zero(path);
+}
+
+std::string FaultIo::read(const fs::path& path) {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (crashed_) throw IoError("FaultIo: read after simulated crash");
+  }
+  return base_->read(path);
 }
 
 WriteFilePtr FaultIo::open_append(const fs::path& path) {
@@ -289,7 +301,7 @@ void FaultIo::rename(const fs::path& from, const fs::path& to) {
   pending.from = from;
   pending.to = to;
   pending.to_existed = fs::exists(to);
-  if (pending.to_existed) pending.old_to_content = slurp(to);
+  if (pending.to_existed) pending.old_to_content = read_file(to);
   base_->rename(from, to);
   const std::lock_guard<std::mutex> lock(mu_);
   pending_renames_.push_back(std::move(pending));

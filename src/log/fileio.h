@@ -1,6 +1,6 @@
 #pragma once
 
-// The injectable file-IO seam under LogStore's write path.
+// The injectable file-IO seam under LogStore.
 //
 // Every byte LogStore persists — record lines, manifest rewrites, tail
 // truncations — flows through a FileIo, so the crash-torture harness
@@ -9,9 +9,11 @@
 // path sound at every IO boundary. Production code uses real_file_io(),
 // a POSIX implementation whose sync() is a genuine fsync.
 //
-// The read path (recovery scans, load()) stays on plain ifstreams: faults
-// are injected on writes, and the crash model applies its data loss to the
-// real files, so readers observe it naturally.
+// Every manifest and segment read (open's recovery scan, load()) flows
+// through FileIo::read too. Faults are injected on writes only, and the
+// crash model applies its data loss to the real files, so readers observe
+// it naturally; but a crashed FaultIo refuses reads as well, so a reopen
+// that needs no write still waits for the disk to come back.
 //
 // Durability model: file *contents* become durable on sync(); directory
 // *entries* (a freshly created file, a rename) become durable only once the
@@ -52,10 +54,13 @@ class WriteFile {
 
 using WriteFilePtr = std::unique_ptr<WriteFile>;
 
-/// The write-path operations LogStore needs from a filesystem.
+/// The operations LogStore needs from a filesystem.
 class FileIo {
  public:
   virtual ~FileIo() = default;
+
+  /// The whole content of `path`. Throws IoError when it cannot be read.
+  virtual std::string read(const std::filesystem::path& path) = 0;
 
   /// Opens `path` for appending, creating it if missing.
   virtual WriteFilePtr open_append(const std::filesystem::path& path) = 0;
@@ -93,6 +98,9 @@ std::shared_ptr<FileIo> real_file_io();
 ///                and every subsequent op throws — the harness then
 ///                reopens the directory with real IO (or calls
 ///                clear_fault() to "restore power" and reopen in place).
+///
+/// Reads are not counted as ops and never fault, except that a crashed
+/// FaultIo refuses them like every other op until clear_fault().
 ///
 /// Thread-safe: the store serializes its own writes, but the server
 /// torture harness arms/clears faults and reads counters from the test
@@ -150,6 +158,7 @@ class FaultIo : public FileIo {
     return trace_;
   }
 
+  std::string read(const std::filesystem::path& path) override;
   WriteFilePtr open_append(const std::filesystem::path& path) override;
   WriteFilePtr open_trunc(const std::filesystem::path& path) override;
   void rename(const std::filesystem::path& from,

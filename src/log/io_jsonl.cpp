@@ -94,9 +94,42 @@ void write_json_map(std::ostream& out, const AttrMap& map,
   out << '}';
 }
 
+/// The record keys parse_record acts on; everything else is skipped.
+enum class RecordKey { kLsn, kWid, kIsLsn, kActivity, kIn, kOut, kOther };
+
+/// Dispatches a record key by its length and first byte to the one key it
+/// can be, then checks the rest: one compare per key instead of a chain.
+RecordKey record_key(std::string_view key) {
+  const auto is = [key](std::string_view name, RecordKey k) {
+    return key == name ? k : RecordKey::kOther;
+  };
+  switch (key.size()) {
+    case 2:
+      return is("in", RecordKey::kIn);
+    case 3:
+      switch (key[0]) {
+        case 'l':
+          return is("lsn", RecordKey::kLsn);
+        case 'w':
+          return is("wid", RecordKey::kWid);
+        case 'o':
+          return is("out", RecordKey::kOut);
+        default:
+          return RecordKey::kOther;
+      }
+    case 6:
+      return is("is_lsn", RecordKey::kIsLsn);
+    case 8:
+      return is("activity", RecordKey::kActivity);
+    default:
+      return RecordKey::kOther;
+  }
+}
+
 /// Minimal recursive-descent JSON parser covering the subset this codec
 /// emits (objects of scalars, nested one level). Positions reported in
-/// bytes within the line.
+/// bytes within the line. Keys and names are parsed as views into the
+/// line; only a string with escapes is decoded, into a reused buffer.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -117,24 +150,32 @@ class JsonParser {
         skip_ws();
       }
       first = false;
-      const std::string key = parse_string();
+      const RecordKey key = record_key(parse_string());
       skip_ws();
       expect(':');
       skip_ws();
-      if (key == "lsn") {
-        l.lsn = static_cast<Lsn>(parse_uint());
-      } else if (key == "wid") {
-        l.wid = static_cast<Wid>(parse_uint());
-      } else if (key == "is_lsn") {
-        l.is_lsn = static_cast<IsLsn>(parse_uint());
-      } else if (key == "activity") {
-        l.activity = interner.intern(parse_string());
-      } else if (key == "in") {
-        l.in = parse_map(interner);
-      } else if (key == "out") {
-        l.out = parse_map(interner);
-      } else {
-        skip_value();  // forward compatibility: ignore unknown keys
+      switch (key) {
+        case RecordKey::kLsn:
+          l.lsn = static_cast<Lsn>(parse_uint());
+          break;
+        case RecordKey::kWid:
+          l.wid = static_cast<Wid>(parse_uint());
+          break;
+        case RecordKey::kIsLsn:
+          l.is_lsn = static_cast<IsLsn>(parse_uint());
+          break;
+        case RecordKey::kActivity:
+          l.activity = interner.intern(parse_string());
+          break;
+        case RecordKey::kIn:
+          l.in = parse_map(interner);
+          break;
+        case RecordKey::kOut:
+          l.out = parse_map(interner);
+          break;
+        case RecordKey::kOther:
+          skip_value();  // forward compatibility: ignore unknown keys
+          break;
       }
     }
     skip_ws();
@@ -172,9 +213,18 @@ class JsonParser {
     return v;
   }
 
-  std::string parse_string() {
+  /// The string at pos_, unescaped: a view into the line when it has no
+  /// escape, else into decoded_ (valid until the next parse_string()).
+  std::string_view parse_string() {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ >= text_.size()) fail("unterminated string");
+    if (text_[pos_] == '"') return text_.substr(start, pos_++ - start);
+    std::string& out = decoded_;
+    out.assign(text_.substr(start, pos_ - start));
     while (true) {
       if (pos_ >= text_.size()) fail("unterminated string");
       char c = text_[pos_++];
@@ -275,11 +325,11 @@ class JsonParser {
         skip_ws();
       }
       first = false;
-      const std::string key = parse_string();
+      const Symbol key = interner.intern(parse_string());
       skip_ws();
       expect(':');
       skip_ws();
-      map.set(interner.intern(key), parse_value());
+      map.set(key, parse_value());
     }
     return map;
   }
@@ -315,6 +365,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::string decoded_;  // an escaped string's decoded bytes
 };
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <charconv>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -50,16 +49,6 @@ std::size_t parse_segment_id(std::string_view name) {
   const auto [end, ec] =
       std::from_chars(digits.data(), digits.data() + digits.size(), id);
   return ec == std::errc{} ? id : 0;
-}
-
-std::string read_whole_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("LogStore: cannot read '" + path.string() + "'");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
 }
 
 /// Non-empty lines in a byte range — the best available estimate of how
@@ -377,11 +366,13 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
                         RecoveryReport* report) {
   WFLOG_SPAN(span, "store.open");
   const fs::path manifest_path = dir / kManifestName;
-  std::ifstream manifest(manifest_path);
-  if (!manifest) {
+  if (!fs::exists(manifest_path)) {
     throw IoError("LogStore: no store in " + dir.string() + " (missing '" +
                   manifest_path.string() + "')");
   }
+  std::shared_ptr<FileIo> io =
+      options.io != nullptr ? options.io : real_file_io();
+  std::istringstream manifest(io->read(manifest_path));
   std::string line;
   if (!std::getline(manifest, line)) {
     throw IoError("LogStore: empty MANIFEST '" + manifest_path.string() +
@@ -395,7 +386,7 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
   LogStore store;
   store.dir_ = dir;
   store.options_ = options;
-  store.io_ = options.io != nullptr ? options.io : real_file_io();
+  store.io_ = std::move(io);
   if (!std::getline(manifest, line) ||
       !trim(line).starts_with("records_per_segment=")) {
     throw IoError("LogStore: truncated MANIFEST '" + manifest_path.string() +
@@ -461,7 +452,7 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
     last_watermark.clear();
 
     if (format_of(store.segments_[s]) == SegmentFormat::kV2Blocks) {
-      const std::string data = read_whole_file(seg_path);
+      const std::string data = store.io_->read(seg_path);
 
       if (auto footer = try_read_v2_footer(data)) {
         // Sealed fast path: no block re-scan on reopen.
@@ -543,7 +534,7 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
     }
 
     // ----- v1 JSONL segment ------------------------------------------------
-    const std::string data = read_whole_file(seg_path);
+    const std::string data = store.io_->read(seg_path);
     std::size_t records_in_segment = 0;
     std::size_t good_bytes = 0;
     std::size_t pos = 0;
@@ -643,13 +634,13 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
         std::size_t off = 0;
         while (off < bytes.size()) off += q->write(bytes.substr(off));
       };
-      const std::string head = read_whole_file(seg_path);
+      const std::string head = store.io_->read(seg_path);
       quarantine_bytes(std::string_view(head).substr(corrupt_offset),
                        format_of(store.segments_[corrupt_segment]),
                        corrupt_offset == 0);
       for (std::size_t s = corrupt_segment + 1; s < store.segments_.size();
            ++s) {
-        quarantine_bytes(read_whole_file(store.segment_path(s)),
+        quarantine_bytes(store.io_->read(store.segment_path(s)),
                          format_of(store.segments_[s]),
                          /*whole_file=*/true);
       }
@@ -683,7 +674,7 @@ LogStore LogStore::open(const std::filesystem::path& dir, Options options,
       store.tail_zones_ = std::move(last_zones);
       store.tail_watermark_ = std::move(last_watermark);
     } else {
-      const std::string kept = read_whole_file(seg_path);
+      const std::string kept = store.io_->read(seg_path);
       store.tail_records_ = count_record_lines(kept);
     }
     WFLOG_TELEMETRY(t) { t->store_corrupt_records_total->add(dropped); }
@@ -957,7 +948,7 @@ LogStore::PrunedLoad LogStore::load_pruned(
         // A torn tail mid-session (an in-process write failure) is
         // benign, like v1's unterminated final line.
         const BlockScan scan =
-            scan_v2_blocks(read_whole_file(segment_path(s)));
+            scan_v2_blocks(io_->read(segment_path(s)));
         if (!scan.corrupt_reason.empty()) {
           throw IoError("LogStore: segment '" + segment_path(s).string() +
                         "' is corrupt: " + scan.corrupt_reason);
@@ -967,19 +958,18 @@ LogStore::PrunedLoad LogStore::load_pruned(
         }
         unsealed_blocks += scan.payloads.size();
       } else {
-        std::ifstream seg(segment_path(s));
-        if (!seg) {
-          throw IoError("LogStore: missing segment '" +
-                        segment_path(s).string() + "'");
-        }
-        std::string line;
-        while (std::getline(seg, line)) {
-          if (trim(line).empty()) continue;
+        const std::string data = io_->read(segment_path(s));
+        const std::string_view text = data;
+        for (std::size_t pos = 0; pos < text.size();) {
+          const std::size_t nl = std::min(text.find('\n', pos), text.size());
+          const std::string_view line = trim(text.substr(pos, nl - pos));
+          pos = nl + 1;
+          if (line.empty()) continue;
           try {
-            c.unmapped.push_back(parse_store_line(trim(line), c.interner));
+            c.unmapped.push_back(parse_store_line(line, c.interner));
           } catch (const IoError&) {
             // An unparseable last line of the final segment: torn append.
-            if (s + 1 == segments_.size() && seg.peek() == EOF) break;
+            if (s + 1 == segments_.size() && pos >= text.size()) break;
             throw;
           }
         }
@@ -1045,7 +1035,7 @@ LogStore::PrunedLoad LogStore::load_pruned(
         continue;
       }
       std::string& file = files[c.segment];
-      if (file.empty()) file = read_whole_file(segment_path(c.segment));
+      if (file.empty()) file = io_->read(segment_path(c.segment));
       c.file = file;
       c.count = zone.record_count;
       tasks.push_back(i);

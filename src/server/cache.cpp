@@ -56,13 +56,8 @@ std::string ResultCache::key(const Query& q, std::uint64_t version) {
 }
 
 std::size_t ResultCache::result_bytes(const QueryResult& r) {
-  std::size_t n = sizeof(QueryResult) + 512;  // node + bookkeeping slack
-  for (const IncidentSet::Group& g : r.incidents.groups()) {
-    n += sizeof(IncidentSet::Group);
-    for (const Incident& o : g.incidents) {
-      n += sizeof(Incident) + o.heap_bytes();
-    }
-  }
+  // Node + bookkeeping slack, then the incident buffers exactly.
+  std::size_t n = sizeof(QueryResult) + 512 + r.incidents.heap_bytes();
   // Pattern trees are retained via parsed/executed; count atoms + interior
   // nodes at a flat estimate.
   if (r.parsed != nullptr) {

@@ -107,7 +107,9 @@ class ResultCache {
 
   CacheStats stats() const;
 
-  /// Approximate retained bytes of one result (used for the budget).
+  /// Retained bytes of one result (used for the budget): a fixed charge
+  /// for the node and its pattern trees, plus the incident buffers'
+  /// capacities exactly (IncidentSet::heap_bytes).
   static std::size_t result_bytes(const QueryResult& r);
 
  private:

@@ -326,16 +326,14 @@ std::vector<Incident> QueryService::standing_matches(
     if (guard != nullptr && guard->check()) break;
     const std::size_t seen =
         before != nullptr ? before->engine->index().instance_length(wid) : 0;
-    IncidentList list = ev.evaluate_instance(pattern, wid, nullptr, nullptr,
-                                             guard);
+    const std::span<const Incident> list =
+        ev.evaluate_instance(pattern, wid, nullptr, nullptr, guard);
     for (const Incident& o : list) {
       if (o.last() > seen) {
         fresh.emplace_back(index.find(wid, o.last())->lsn, o);
       }
     }
-    if (full != nullptr && !list.empty()) {
-      full->add_group(wid, std::move(list));
-    }
+    if (full != nullptr && !list.empty()) full->add_group(wid, list);
   }
   // The order a record-at-a-time feed completes them in: by the record
   // that closed each incident, then incident order.
@@ -357,7 +355,7 @@ std::vector<std::string> QueryService::render_sub_events(
       // (bindings live on the parsed tree): streamed events and a batch
       // /query of the same text must agree on every incident.
       IncidentSet one;
-      one.add_group(incident.wid(), IncidentList{incident});
+      one.add_group(incident.wid(), {incident});
       if (filter_where(one, *parsed.pattern, *parsed.where, index, nullptr)
               .empty()) {
         continue;
@@ -403,10 +401,11 @@ void QueryService::route_matches(const State& before, const State& st,
       spliced = filter_where(spliced, *sub->parsed.pattern,
                              *sub->parsed.where, st.engine->index(), nullptr);
     }
-    std::unordered_map<Wid, const IncidentList*> now;  // null: no incident
-    for (const Wid wid : touched) now.emplace(wid, nullptr);
+    // Empty: the instance has no incident now.
+    std::unordered_map<Wid, std::span<const Incident>> now;
+    for (const Wid wid : touched) now.emplace(wid, std::span<const Incident>{});
     for (const IncidentSet::Group& g : spliced.groups()) {
-      now[g.wid] = &g.incidents;
+      now[g.wid] = g.incidents;
     }
     auto repaired = std::make_shared<QueryResult>();
     repaired->parsed = old->parsed;
@@ -421,15 +420,15 @@ void QueryService::route_matches(const State& before, const State& st,
     repaired->stop_reason = old->stop_reason;
     // Groups in the snapshot's instance order, as the engine emits them;
     // the old groups follow that order too (an ingest only appends).
-    auto old_group = old->incidents.groups().begin();
-    const auto old_end = old->incidents.groups().end();
+    const IncidentSet& old_set = old->incidents;
+    std::size_t old_group = 0;
     for (const Wid wid : st.log.wids()) {
-      const IncidentList* list = nullptr;
-      if (old_group != old_end && old_group->wid == wid) {
-        list = &(old_group++)->incidents;
+      std::span<const Incident> list;
+      if (old_group < old_set.num_groups() && old_set[old_group].wid == wid) {
+        list = old_set[old_group++].incidents;
       }
       if (const auto it = now.find(wid); it != now.end()) list = it->second;
-      if (list != nullptr) repaired->incidents.add_group(wid, *list);
+      if (!list.empty()) repaired->incidents.add_group(wid, list);
     }
     cache_->insert(ResultCache::key(sub->parsed, st.version),
                    std::move(repaired), produced);

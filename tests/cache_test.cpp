@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -29,10 +31,48 @@
 #include "server/handlers.h"
 #include "server/json.h"
 #include "server/server.h"
+#include "common/rng.h"
 #include "test_util.h"
+
+// Every block this binary allocates carries its size in a header, so a test
+// can count the bytes a value returns to the heap when it is destroyed
+// (freed_bytes_while below) — the ground truth for the cache's byte
+// accounting.
+namespace {
+constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+thread_local bool t_count_frees = false;
+thread_local std::size_t t_freed_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* base = std::malloc(n + kSizeHeader);
+  if (base == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(base) = n;
+  return static_cast<char*>(base) + kSizeHeader;
+}
+namespace {
+void free_block(void* p) noexcept {
+  if (p == nullptr) return;
+  void* base = static_cast<char*>(p) - kSizeHeader;
+  if (t_count_frees) t_freed_bytes += *static_cast<std::size_t*>(base);
+  std::free(base);
+}
+}  // namespace
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
 
 namespace wflog {
 namespace {
+
+/// Bytes freed on this thread while `f` runs.
+template <typename F>
+std::size_t freed_bytes_while(F&& f) {
+  t_freed_bytes = 0;
+  t_count_frees = true;
+  f();
+  t_count_frees = false;
+  return t_freed_bytes;
+}
 
 using server::CacheOptions;
 using server::CacheStats;
@@ -103,15 +143,17 @@ TEST(ResultCacheTest, InlinePositionsAreCountedOnce) {
   IncidentList list;
   for (IsLsn p = 1; p <= 1000; ++p) list.push_back(Incident::singleton(1, p));
   singletons->incidents.add_group(1, std::move(list));
+  // A flat set charges one wid and one end offset per group.
+  const std::size_t per_group = sizeof(Wid) + sizeof(std::size_t);
   EXPECT_EQ(ResultCache::result_bytes(*singletons) - base,
-            sizeof(IncidentSet::Group) + 1000 * sizeof(Incident));
+            per_group + 1000 * sizeof(Incident));
 
   const Incident spilled = testing::inc(2, {1, 2, 3, 4, 5, 6});
   ASSERT_EQ(spilled.size(), Incident::kInlineCapacity + 1);
   auto mixed = std::make_shared<QueryResult>(*complete_result());
   mixed->incidents.add_group(2, {Incident::singleton(2, 9), spilled});
   EXPECT_EQ(ResultCache::result_bytes(*mixed) - base,
-            sizeof(IncidentSet::Group) + 2 * sizeof(Incident) +
+            per_group + 2 * sizeof(Incident) +
                 spilled.size() * sizeof(IsLsn));
 
   // The batch memo's cache_bytes counter uses the same accounting.
@@ -121,6 +163,38 @@ TEST(ResultCacheTest, InlinePositionsAreCountedOnce) {
   BatchEvalStats stats;
   evaluate_batch(batch, index, BatchOptions{}, &stats);
   EXPECT_EQ(stats.counters.cache_bytes, 6 * sizeof(Incident));
+}
+
+TEST(ResultCacheTest, ResultBytesEqualRetainedBytes) {
+  // What the cache charges for a result's incidents is exactly what they
+  // give back to the heap: buffer capacities included, for the flat set
+  // the shard merge builds (4 shards) and the one it passes through (1).
+  Rng rng(7);
+  std::string spec;
+  for (int instance = 0; instance < 60; ++instance) {
+    if (instance > 0) spec += " ; ";
+    for (std::size_t k = 6 + rng.index(8); k > 0; --k) {
+      spec += "A" + std::to_string(rng.index(4)) + " ";
+    }
+  }
+  const Log log = testing::make_log(spec);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    QueryOptions options;
+    options.shards = shards;
+    const QueryEngine engine(log, options);
+    for (const char* q : {"A0 -> A1", "(A0 | A2) -> A3", "A1 & A2",
+                          "A0 . !A1", "((A0 -> A1) -> A2) -> A3"}) {
+      QueryResult r = engine.run(q);
+      ASSERT_GT(r.total(), 0u) << q;
+      QueryResult without = r;
+      without.incidents = IncidentSet{};
+      const std::size_t charged = ResultCache::result_bytes(r) -
+                                  ResultCache::result_bytes(without);
+      const std::size_t freed =
+          freed_bytes_while([&r] { r.incidents = IncidentSet{}; });
+      EXPECT_EQ(charged, freed) << q << " shards=" << shards;
+    }
+  }
 }
 
 TEST(ResultCacheTest, RefusesIncompleteResults) {

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "common/rng.h"
+#include "core/batch.h"
 #include "core/parser.h"
+#include "core/printer.h"
+#include "core/synthetic.h"
 #include "test_util.h"
 #include "workflow/clinic.h"
+#include "workflow/workload.h"
 
 namespace wflog {
 namespace {
@@ -164,9 +172,9 @@ TEST(EvaluatorScopeTest, PerInstanceGrouping) {
   Evaluator ev(index);
   const IncidentSet set = ev.evaluate(*parse_pattern("a -> b"));
   EXPECT_EQ(set.num_groups(), 2u);  // instance 3 has no b
-  EXPECT_NE(set.find(1), nullptr);
-  EXPECT_NE(set.find(2), nullptr);
-  EXPECT_EQ(set.find(3), nullptr);
+  EXPECT_TRUE(set.find(1).has_value());
+  EXPECT_TRUE(set.find(2).has_value());
+  EXPECT_FALSE(set.find(3).has_value());
 }
 
 // ----- operator semantics through full patterns -------------------------
@@ -249,6 +257,150 @@ TEST(EvaluatorSemanticsTest, SentinelsQueryableDirectly) {
   EXPECT_EQ(eval(log, "END").size(), 1u);
   // Completed instances: START -> END.
   EXPECT_EQ(eval(log, "START -> END").size(), 1u);
+}
+
+// ----- scratch and memo reuse --------------------------------------------
+//
+// An Evaluator reuses one scratch list per plan node, and a memo reuses
+// one list per slot, from instance to instance. The oracle for every case
+// reuses nothing: a fresh Evaluator per instance on the naive Algorithm 1
+// kernels.
+
+IncidentList oracle(const LogIndex& index, const Pattern& p,
+                    std::size_t instance) {
+  EvalOptions naive;
+  naive.use_optimized_operators = false;
+  const Evaluator fresh(index, naive);
+  const std::span<const Incident> got =
+      fresh.evaluate_instance(EvalPlan(p, index.log()), instance);
+  return {got.begin(), got.end()};
+}
+
+IncidentList copy(std::span<const Incident> s) { return {s.begin(), s.end()}; }
+
+RandomPatternOptions reuse_patterns() {
+  RandomPatternOptions o;
+  o.max_depth = 3;
+  o.predicate_probability = 0.1;
+  return o;
+}
+
+TEST(EvaluatorScratchTest, OneEvaluatorInForwardReverseAndShuffledOrder) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const Log log = workload::random_process(25, seed);
+    const LogIndex index(log);
+    std::vector<std::size_t> forward(index.wids().size());
+    std::iota(forward.begin(), forward.end(), std::size_t{0});
+    std::vector<std::size_t> reverse(forward.rbegin(), forward.rend());
+    std::vector<std::size_t> shuffled = forward;
+    rng.shuffle(shuffled);
+    for (int q = 0; q < 6; ++q) {
+      const PatternPtr p = random_pattern(rng, reuse_patterns());
+      const EvalPlan plan(*p, log);
+      const Evaluator ev(index);  // one evaluator for all three orders
+      for (const auto* order : {&forward, &reverse, &shuffled}) {
+        for (const std::size_t i : *order) {
+          EXPECT_EQ(copy(ev.evaluate_instance(plan, i)),
+                    oracle(index, *p, i))
+              << "seed=" << seed << " q=" << q << " instance=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(EvaluatorScratchTest, TwoPlansInterleavedInstanceByInstance) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const Log log = workload::random_process(25, seed);
+    const LogIndex index(log);
+    // A deep plan and a shallow one write different prefixes of the
+    // shared scratch lists.
+    const PatternPtr deep = parse_pattern("((A0 -> A1) | (A2 . A3)) -> A4");
+    const PatternPtr other = random_pattern(rng, reuse_patterns());
+    const EvalPlan deep_plan(*deep, log), other_plan(*other, log);
+    const Evaluator ev(index);
+    for (std::size_t i = 0; i < index.wids().size(); ++i) {
+      EXPECT_EQ(copy(ev.evaluate_instance(other_plan, i)),
+                oracle(index, *other, i))
+          << "seed=" << seed << " instance=" << i;
+      EXPECT_EQ(copy(ev.evaluate_instance(deep_plan, i)),
+                oracle(index, *deep, i))
+          << "seed=" << seed << " instance=" << i;
+    }
+  }
+}
+
+TEST(EvaluatorScratchTest, MemoResetAfterHighMatchInstanceKeepsNothing) {
+  // Instance 1 matches a lot, instance 2 nothing of "a -> b", instance 3
+  // a little: a stale slot list would leak instance 1's incidents.
+  const Log log = make_log("a a a b b b a b ; a c ; c a b");
+  const LogIndex index(log);
+  const std::vector<PatternPtr> queries = {
+      parse_pattern("a -> b"), parse_pattern("(a -> b) | c"),
+      parse_pattern("a"), parse_pattern("(a -> b) & b")};
+  const BatchPlan batch(queries);
+  SubpatternMemo memo = batch.make_memo();
+  std::vector<EvalPlan> plans;
+  for (const PatternPtr& q : queries) {
+    plans.emplace_back(*q, log, &batch.slots());
+  }
+  const Evaluator ev(index);
+  for (std::size_t i = 0; i < index.wids().size(); ++i) {
+    memo.reset();
+    for (std::uint32_t slot = 0; slot < batch.num_slots(); ++slot) {
+      EXPECT_EQ(memo.lookup(slot), nullptr) << "slot " << slot;
+    }
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(copy(ev.evaluate_instance(plans[q], i, &memo)),
+                oracle(index, *queries[q], i))
+          << "instance=" << i << " q=" << q;
+    }
+  }
+  EXPECT_GT(ev.counters().cache_hits, 0u);
+}
+
+TEST(EvaluatorScratchTest, TrippedGuardLeavesNoValidSlotThenNextIsComplete) {
+  // Instance 1's atoms emit 4 incidents each; a budget of 6 trips after
+  // "b" completes, inside the tree of both queries.
+  const Log log = make_log("a a a a b b b b c ; a b c");
+  const LogIndex index(log);
+  const std::vector<PatternPtr> queries = {parse_pattern("(a -> b) -> c"),
+                                           parse_pattern("(a -> b) | c")};
+  const BatchPlan batch(queries);
+  SubpatternMemo memo = batch.make_memo();
+  std::vector<EvalPlan> plans;
+  for (const PatternPtr& q : queries) {
+    plans.emplace_back(*q, log, &batch.slots());
+  }
+  const Evaluator ev(index);
+
+  const EvalGuard guard(std::chrono::milliseconds(0), 6, nullptr);
+  memo.reset();
+  for (const EvalPlan& plan : plans) {
+    ev.evaluate_instance(plan, 0, &memo, nullptr, &guard);
+  }
+  ASSERT_EQ(guard.reason(), StopReason::kIncidentBudget);
+  // A valid slot holds its complete list; the tripped node and every
+  // node above it hold none.
+  for (const auto& [node, slot] : batch.slots()) {
+    if (const IncidentList* list = memo.lookup(slot)) {
+      EXPECT_EQ(*list, oracle(index, *node, 0)) << to_text(*node);
+    }
+  }
+  EXPECT_EQ(memo.lookup(batch.slots().at(queries[0].get())), nullptr);
+  EXPECT_EQ(memo.lookup(batch.slots().at(queries[0]->left().get())),
+            nullptr);
+  EXPECT_EQ(memo.lookup(batch.slots().at(queries[1].get())), nullptr);
+
+  // The next instance, unguarded, on the same evaluator and memo.
+  memo.reset();
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(copy(ev.evaluate_instance(plans[q], 1, &memo)),
+              oracle(index, *queries[q], 1))
+        << "q=" << q;
+  }
 }
 
 }  // namespace

@@ -251,9 +251,9 @@ TEST(IncidentSetTest, TotalsAndLookup) {
   EXPECT_EQ(set.num_groups(), 2u);
   EXPECT_EQ(set.total(), 3u);
   EXPECT_FALSE(set.empty());
-  ASSERT_NE(set.find(4), nullptr);
+  ASSERT_TRUE(set.find(4).has_value());
   EXPECT_EQ(set.find(4)->size(), 1u);
-  EXPECT_EQ(set.find(9), nullptr);
+  EXPECT_FALSE(set.find(9).has_value());
 }
 
 TEST(IncidentSetTest, FlattenIsCanonical) {

@@ -66,7 +66,7 @@ TEST(IntegrationTest, FraudAuditPipeline) {
   LogIndex index(log);
   Evaluator ev(index);
   for (const InstanceCount& ic : per_instance) {
-    const IncidentList one =
+    const std::span<const Incident> one =
         ev.evaluate_instance(*anomalous.executed, ic.wid);
     EXPECT_EQ(one.size(), ic.incidents);
     sum += one.size();

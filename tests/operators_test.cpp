@@ -177,11 +177,19 @@ TEST_P(OperatorAgreementTest, AllOperatorsAgree) {
   const IncidentList a = synthetic_incidents(o1);
   const IncidentList b = synthetic_incidents(o2);
 
-  EXPECT_EQ(eval_consecutive_naive(a, b), eval_consecutive_opt(a, b));
-  EXPECT_EQ(eval_sequential_naive(a, b), eval_sequential_opt(a, b));
-  EXPECT_EQ(eval_choice_naive(a, b, true), eval_choice_opt(a, b, true));
-  EXPECT_EQ(eval_choice_naive(a, b, false), eval_choice_opt(a, b, false));
-  EXPECT_EQ(eval_parallel_naive(a, b), eval_parallel_opt(a, b));
+  // One output list for every kernel, as the evaluator's scratch is: each
+  // kernel must clear what the previous one left.
+  IncidentList out;
+  eval_consecutive_opt(a, b, out);
+  EXPECT_EQ(eval_consecutive_naive(a, b), out);
+  eval_sequential_opt(a, b, out);
+  EXPECT_EQ(eval_sequential_naive(a, b), out);
+  eval_choice_opt(a, b, true, out);
+  EXPECT_EQ(eval_choice_naive(a, b, true), out);
+  eval_choice_opt(a, b, false, out);
+  EXPECT_EQ(eval_choice_naive(a, b, false), out);
+  eval_parallel_opt(a, b, out);
+  EXPECT_EQ(eval_parallel_naive(a, b), out);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,7 +212,8 @@ INSTANTIATE_TEST_SUITE_P(
 // contract boundary explicitly.
 TEST(ChoiceContractTest, NoDedupKeepsDuplicatesFromOverlappingInputs) {
   const IncidentList a{inc(1, {2})};
-  const IncidentList out = eval_choice_opt(a, a, /*dedup=*/false);
+  IncidentList out;
+  eval_choice_opt(a, a, /*dedup=*/false, out);
   EXPECT_EQ(out.size(), 2u);  // caller's responsibility (needs_choice_dedup)
 }
 

@@ -93,8 +93,8 @@ echo "== tier 2f: shard label under ASan/UBSan =="
 echo "== tier 2g: segfmt label under ASan/UBSan =="
 (cd "$repo" && ctest --preset asan-ubsan -L segfmt --timeout "$timeout" "$@")
 
-echo "== tier 3: ThreadSanitizer — shard pool (queries + batches), server =="
-"$repo/tests/run_sanitized.sh" thread -L 'shard|server' \
+echo "== tier 3: ThreadSanitizer — shard pool (queries + batches), server, eval =="
+"$repo/tests/run_sanitized.sh" thread -L 'shard|server|eval' \
   --timeout "$timeout" "$@"
 
 echo "== tier 3a2: ThreadSanitizer — subscribe (standing-query delivery) =="

@@ -731,6 +731,51 @@ TEST(ServerTortureTest, CrashDuringSessionLosesNoAckedRecords) {
   }
 }
 
+// Recovery reads the store through the FileIo its writes use. A crash that
+// keeps every byte (kKeepAll) can leave a store whose reopen needs no
+// write; while the power is off that reopen must still fail, so the
+// service stays degraded until clear_fault().
+TEST(ServerTortureTest, RecoveryWaitsForTheDiskAfterACrash) {
+  const fs::path dir = fresh_dir("crash-wait");
+  auto disk = std::make_shared<FaultIo>();
+  ChaosServer cs(std::nullopt, LogStore::create(dir, chaos_store_options(disk)),
+                 disk);
+  server::HttpClient c = cs.client();
+  ASSERT_EQ(c.post("/ingest", ingest_one(1)).status, 200);
+  LogStore probe = LogStore::open(dir, chaos_store_options(disk));
+
+  FaultIo::Fault fault;
+  fault.at_op = disk->ops() + 7;
+  fault.kind = FaultIo::Fault::Kind::kCrash;
+  fault.loss = FaultIo::CrashLoss::kKeepAll;
+  disk->set_fault(fault);
+  bool crashed = false;
+  for (int wid = 2; wid < 6 && !crashed; ++wid) {
+    const server::ClientResponse r = c.post("/ingest", ingest_one(wid));
+    crashed = r.status == 503;
+    if (!crashed) {
+      ASSERT_EQ(r.status, 200) << r.body;
+    }
+  }
+  ASSERT_TRUE(crashed) << "crash fault never fired";
+  ASSERT_TRUE(disk->crashed());
+
+  EXPECT_THROW(probe.reopen_in_place(), IoError);
+  // Recovery retries every 10-80 ms: many attempts fit in this window, and
+  // none may succeed while the disk is off.
+  std::this_thread::sleep_for(400ms);
+  const server::JsonValue v = cs.healthz_json(c);
+  EXPECT_NE(v.find("health")->find("state")->as_string(), "healthy")
+      << v.dump();
+
+  disk->clear_fault();
+  ASSERT_TRUE(cs.await_state("healthy")) << cs.healthz_json(c).dump();
+
+  cs.http->shutdown();
+  cs.service.reset();
+  fs::remove_all(dir);
+}
+
 // A request that fails part-way publishes only what became durable: the
 // record whose store mirror failed is in no snapshot, no answer and no
 // "records" count, while degraded or after recovery.

@@ -118,7 +118,7 @@ TEST(ShardPlanTest, EmptyWidSet) {
   EXPECT_EQ(plan.num_shards(), 1u);
   EXPECT_EQ(plan.num_instances(), 0u);
   EXPECT_TRUE(plan.shard(0).wids.empty());
-  EXPECT_TRUE(merge_shards(0, {}).empty());
+  EXPECT_TRUE(merge_shards({}).empty());
 }
 
 // ----- merge ---------------------------------------------------------------
@@ -139,9 +139,7 @@ std::vector<ShardResult> random_results(Rng& rng, std::size_t num_shards,
     IncidentList list = synthetic_incidents(opts);
     if (list.empty()) continue;
     ShardResult& r = results[shard_of_wid(wid, num_shards)];
-    r.positions.push_back(pos);
-    r.wids.push_back(wid);
-    r.lists.push_back(std::move(list));
+    r.add(pos, wid, list);
   }
   return results;
 }
@@ -152,11 +150,11 @@ TEST(MergeShardsTest, IndependentOfResultArrivalOrder) {
     const std::size_t k = 1 + rng.index(9);
     const std::size_t n = 1 + rng.index(30);
     std::vector<ShardResult> results = random_results(rng, k, n);
-    const IncidentSet reference = merge_shards(n, results);
+    const IncidentSet reference = merge_shards(results);
     for (std::size_t shuffle = 0; shuffle < 5; ++shuffle) {
       std::vector<ShardResult> permuted = results;
       rng.shuffle(permuted);
-      EXPECT_EQ(serialize(merge_shards(n, permuted)), serialize(reference))
+      EXPECT_EQ(serialize(merge_shards(permuted)), serialize(reference))
           << "merge depended on shard arrival order";
     }
   }
@@ -165,7 +163,7 @@ TEST(MergeShardsTest, IndependentOfResultArrivalOrder) {
 TEST(MergeShardsTest, PreservesGroupOrderAndStrictLsnOrder) {
   Rng rng(7);
   const std::size_t k = 5, n = 25;
-  const IncidentSet merged = merge_shards(n, random_results(rng, k, n));
+  const IncidentSet merged = merge_shards(random_results(rng, k, n));
   // Groups ascend in global position order (== wid order here) and each
   // group's list keeps the canonical strict order it was produced with.
   Wid prev = 0;
